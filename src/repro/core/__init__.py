@@ -1,5 +1,7 @@
 """FCI core: strings, sigma kernels, diagonalization methods, driver."""
 
+from importlib.util import find_spec
+
 from .strings import (
     StringSpace,
     ci_dimension,
@@ -14,10 +16,8 @@ from .hamiltonian import (
     hamiltonian_diagonal,
 )
 from .problem import CIProblem
-from .plans import LinkIndexTables, SigmaPlan, build_g_matrix, build_w_matrix
+from .plans import SigmaPlan, build_g_matrix, build_w_matrix
 from .kernels import (
-    HAVE_NUMBA,
-    CompiledKernel,
     DgemmKernel,
     MocKernel,
     SigmaKernel,
@@ -65,6 +65,9 @@ from .solver import (
     register_method,
 )
 
+# host provenance only (benchmark records report it); no code path uses it
+HAVE_NUMBA = find_spec("numba") is not None
+
 __all__ = [
     "StringSpace",
     "ci_dimension",
@@ -78,12 +81,10 @@ __all__ = [
     "hamiltonian_diagonal",
     "CIProblem",
     "SigmaPlan",
-    "LinkIndexTables",
     "build_w_matrix",
     "build_g_matrix",
     "SigmaKernel",
     "DgemmKernel",
-    "CompiledKernel",
     "MocKernel",
     "HAVE_NUMBA",
     "kernel_names",

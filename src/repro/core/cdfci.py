@@ -40,7 +40,7 @@ from .checkpoint import Checkpointer, CheckpointState
 from .olsen import SolveResult
 from .plans import SigmaPlan
 from .vectors import SparseStore
-from .kernels import same_spin_sigma
+from .kernels import same_spin_sigma_stack
 
 __all__ = ["HamiltonianColumns", "cdfci_solve"]
 
@@ -65,7 +65,7 @@ class HamiltonianColumns:
 
     * alpha part  (rows (ja, ib)): column ia of A_a = Ta + same-spin-alpha,
       the same-spin operator materialized once by applying
-      :func:`~repro.core.kernels.same_spin_sigma` to the identity,
+      :func:`~repro.core.kernels.same_spin_sigma_stack` to the identity,
     * beta part   (rows (ia, jb)): column ib of A_b = Tb + same-spin-beta,
     * mixed part  (rows (ja, jb)): for every alpha single ia->ja (pair pq,
       sign sa) and beta single ib->jb (pair rs, sign sb), the entry
@@ -86,7 +86,9 @@ class HamiltonianColumns:
         def _spin_matrix(T, splan, nstr):
             dense = np.asarray(T.todense())
             if splan is not None:
-                dense += same_spin_sigma(splan, plan.w_matrix, np.eye(nstr), bc, None)
+                dense += same_spin_sigma_stack(
+                    splan, plan.w_matrix, np.eye(nstr)[None], bc, None
+                )[0]
             return sp.csc_matrix(dense)
 
         self.A_alpha = _spin_matrix(plan.Ta, plan.same_a, na)

@@ -35,29 +35,21 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from ..obs.accounting import account_sigma_dgemm, account_sigma_moc
-from . import compiled as _compiled
-from .compiled import HAVE_NUMBA
-from .plans import SameSpinLink, SameSpinPlan, SigmaPlan
+from .plans import SameSpinPlan, SigmaPlan
 
 __all__ = [
     "SigmaCounters",
     "MOCCounters",
     "SigmaKernel",
     "DgemmKernel",
-    "CompiledKernel",
     "MocKernel",
     "register_kernel",
     "kernel_names",
     "make_kernel",
-    "same_spin_sigma",
+    "one_electron_sigma",
     "same_spin_sigma_stack",
     "mixed_spin_sigma_stack",
-    "compiled_same_spin_sigma",
-    "compiled_same_spin_sigma_stack",
-    "compiled_mixed_spin_sigma_stack",
-    "sigma_sweeps",
     "column_blocks",
-    "HAVE_NUMBA",
 ]
 
 
@@ -174,53 +166,6 @@ def _segment_sum(x: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def same_spin_sigma(
-    splan: SameSpinPlan,
-    W: np.ndarray,
-    C: np.ndarray,
-    block_columns: int,
-    counters: SigmaCounters | None,
-) -> np.ndarray:
-    """Same-spin contribution acting on the *row* strings of C (nstr, M).
-
-    The beta-beta term passes the transposed CI matrix here, like the
-    paper's Fig. 2a which works on transposed local C and sigma blocks.
-    Batched callers simply pass M = k * n_columns stacked columns.
-    """
-    NK = splan.n_reduced
-    npair = splan.n_pairs
-    nstr = splan.n_strings
-    kk2 = splan.pairs_per_string
-    key = splan.key
-    sgn = splan.sign
-    src = splan.source
-    M = C.shape[1]
-    out = np.zeros_like(C)
-    # scratch hoisted out of the sweep: reallocated only when the block
-    # width changes (at most once, for a ragged final block) so a full
-    # sweep costs O(1) allocations instead of one per block; refilling
-    # with zeros keeps the gathered operands - and the result - bitwise
-    # identical to a fresh buffer
-    D = None
-    for lo in range(0, M, block_columns):
-        hi = min(lo + block_columns, M)
-        m = hi - lo
-        if D is None or D.shape[1] != m:
-            D = np.zeros((npair * NK, m))
-        else:
-            D[...] = 0.0
-        D[key] = sgn[:, None] * C[src, lo:hi]
-        E = (W @ D.reshape(npair, NK * m)).reshape(npair * NK, m)
-        vals = sgn[:, None] * E[key]
-        out[:, lo:hi] = _segment_sum(vals.reshape(nstr, kk2, m), axis=1)
-        if counters is not None:
-            counters.dgemm_flops += 2 * npair * npair * NK * m
-            counters.dgemm_calls += 1
-            counters.gather_elements += splan.n_entries * m
-            counters.scatter_elements += splan.n_entries * m
-    return out
-
-
 def column_blocks(n_columns: int, block_columns: int) -> list[tuple[int, int]]:
     """The (lo, hi) column blocks a kernel sweeps for an n_columns space.
 
@@ -249,8 +194,10 @@ def same_spin_sigma_stack(
 
     One batched DGEMM (broadcasted W @ D-stack) per column block; every
     slice of the stack sees exactly the single-vector operands, so the
-    result is bitwise-identical to looping :func:`same_spin_sigma` over the
-    k vectors while issuing k-times fewer DGEMM invocations.
+    result is bitwise-identical to sweeping the k vectors one at a time
+    (``C_rows = X[None]``) while issuing k-times fewer DGEMM invocations.
+    The beta-beta term passes the transposed CI matrices, like the paper's
+    Fig. 2a which works on transposed local C and sigma blocks.
 
     ``col_blocks`` restricts the sweep to a subset of the canonical
     :func:`column_blocks` (the shared-memory backend distributes whole
@@ -271,8 +218,11 @@ def same_spin_sigma_stack(
         out = np.zeros_like(C_rows)
     if col_blocks is None:
         col_blocks = column_blocks(M, block_columns)
-    # per-sweep scratch, reallocated only when the block width changes
-    # (see same_spin_sigma); zero-refill keeps results bitwise identical
+    # scratch hoisted out of the sweep: reallocated only when the block
+    # width changes (at most once, for a ragged final block) so a full
+    # sweep costs O(1) allocations instead of one per block; refilling
+    # with zeros keeps the gathered operands - and the result - bitwise
+    # identical to a fresh buffer
     D = None
     for lo, hi in col_blocks:
         m = hi - lo
@@ -300,8 +250,9 @@ def mixed_spin_sigma_stack(
     *,
     col_blocks: list[tuple[int, int]] | None = None,
     out: np.ndarray | None = None,
+    targets: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Mixed-spin (alpha-beta) term for a (k, na, nb) stack of CI vectors.
+    """Mixed-spin (alpha-beta) term for a (k, rows, nb) stack of CI vectors.
 
     The k dense intermediates are stacked and E = G.D runs as one batched
     DGEMM (broadcasted matrix product) per beta column block - one
@@ -313,15 +264,24 @@ def mixed_spin_sigma_stack(
     :func:`same_spin_sigma_stack`: restrict the sweep to a subset of the
     canonical blocks and/or scatter into a caller-provided buffer, with
     per-block arithmetic unchanged.
+
+    ``targets=(source, pq, sign)`` restricts the alpha scatter to a
+    contiguous slice of ``plan.scatter_a`` (whole target strings, ``per``
+    entries each) whose ``source`` indexes the rows of ``C_stack``: the
+    simulated X1 ranks pass one task's target span with the source rows
+    they gathered, and get back (k, span, nb).  The default is the full
+    ``scatter_a`` over all na alpha strings.
     """
     n = plan.n
     na, nb = plan.shape
-    k = C_stack.shape[0]
+    k, n_rows, _ = C_stack.shape
     gb = plan.gather_b
     sa = plan.scatter_a
+    a_src, a_pq, a_sgn = (sa.source, sa.pq, sa.sign) if targets is None else targets
     G = plan.g_matrix
     per_b, per_a = gb.per, sa.per
-    sigma = np.zeros_like(C_stack) if out is None else out
+    n_tgt = a_src.size // per_a if per_a else na
+    sigma = np.zeros((k, n_tgt, nb)) if out is None else out
     if col_blocks is None:
         col_blocks = column_blocks(nb, block_columns)
     for lo, hi in col_blocks:
@@ -329,162 +289,20 @@ def mixed_spin_sigma_stack(
         elo, ehi = lo * per_b, hi * per_b
         src, tgt = gb.source[elo:ehi], gb.target[elo:ehi]
         rs, sgn = gb.pq[elo:ehi], gb.sign[elo:ehi]
-        # D[vector, (rs), kb_local, Ma]
-        D = np.zeros((k, n * n, m, na))
+        # D[vector, (rs), kb_local, rows]
+        D = np.zeros((k, n * n, m, n_rows))
         D[:, rs, tgt - lo] = sgn[None, :, None] * C_stack[:, :, src].transpose(0, 2, 1)
-        E = np.matmul(G, D.reshape(k, n * n, m * na)).reshape(k, n * n, m, na)
+        E = np.matmul(G, D.reshape(k, n * n, m * n_rows)).reshape(k, n * n, m, n_rows)
         # advanced axes 1 and 3 are separated by a slice: result (entries, k, m)
-        vals = sa.sign[:, None, None] * E[:, sa.pq, :, sa.source]
-        vals = vals.transpose(1, 0, 2).reshape(k, na, per_a, m)
+        vals = a_sgn[:, None, None] * E[:, a_pq, :, a_src]
+        vals = vals.transpose(1, 0, 2).reshape(k, n_tgt, per_a, m)
         sigma[:, :, lo:hi] += _segment_sum(vals, axis=2)
         if counters is not None:
-            counters.dgemm_flops += 2 * (n * n) * (n * n) * m * na * k
+            counters.dgemm_flops += 2 * (n * n) * (n * n) * m * n_rows * k
             counters.dgemm_calls += 1
-            counters.gather_elements += (ehi - elo) * na * k
-            counters.scatter_elements += sa.n_entries * m * k
+            counters.gather_elements += (ehi - elo) * n_rows * k
+            counters.scatter_elements += a_src.size * m * k
     return sigma
-
-
-# -- compiled (link-index) kernel pieces --------------------------------------
-
-
-def _same_link(splan: SameSpinPlan) -> SameSpinLink:
-    """The plan's cached per-string link view (reshapes, built once)."""
-    link = getattr(splan, "_link", None)
-    if link is None:
-        link = SameSpinLink.from_plan(splan)
-        splan._link = link
-    return link
-
-
-def compiled_same_spin_sigma_stack(
-    splan: SameSpinPlan,
-    W: np.ndarray,
-    C_rows: np.ndarray,
-    block_columns: int,
-    counters: SigmaCounters | None,
-    *,
-    col_blocks: list[tuple[int, int]] | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """:func:`same_spin_sigma_stack` with jitted gather/scatter loops.
-
-    The DGEMM is the same ``np.matmul`` over the same zero-padded D, and
-    the jitted scatter accumulates in ``_segment_sum``'s left-to-right
-    order, so the result is bitwise-identical to the NumPy sweep whether or
-    not numba is importable; without numba this *is* the NumPy sweep.
-    """
-    if not HAVE_NUMBA:
-        return same_spin_sigma_stack(
-            splan, W, C_rows, block_columns, counters,
-            col_blocks=col_blocks, out=out,
-        )
-    NK = splan.n_reduced
-    npair = splan.n_pairs
-    link = _same_link(splan)
-    k, _, M = C_rows.shape
-    if out is None:
-        out = np.zeros_like(C_rows)
-    if col_blocks is None:
-        col_blocks = column_blocks(M, block_columns)
-    D = None
-    for lo, hi in col_blocks:
-        m = hi - lo
-        if D is None or D.shape[2] != m:
-            D = np.zeros((k, npair * NK, m))
-        else:
-            D[...] = 0.0
-        _compiled.same_spin_gather(D, link.key, link.sign, C_rows, lo, m)
-        E = np.matmul(W, D.reshape(k, npair, NK * m)).reshape(k, npair * NK, m)
-        _compiled.same_spin_scatter(out, link.key, link.sign, E, lo, m)
-        if counters is not None:
-            counters.dgemm_flops += 2 * npair * npair * NK * m * k
-            counters.dgemm_calls += 1
-            counters.gather_elements += splan.n_entries * m * k
-            counters.scatter_elements += splan.n_entries * m * k
-    return out
-
-
-def compiled_same_spin_sigma(
-    splan: SameSpinPlan,
-    W: np.ndarray,
-    C: np.ndarray,
-    block_columns: int,
-    counters: SigmaCounters | None,
-) -> np.ndarray:
-    """:func:`same_spin_sigma` with jitted gather/scatter loops."""
-    if not HAVE_NUMBA:
-        return same_spin_sigma(splan, W, C, block_columns, counters)
-    return compiled_same_spin_sigma_stack(
-        splan, W, np.ascontiguousarray(C)[None], block_columns, counters
-    )[0]
-
-
-def compiled_mixed_spin_sigma_stack(
-    plan: SigmaPlan,
-    C_stack: np.ndarray,
-    block_columns: int,
-    counters: SigmaCounters | None,
-    *,
-    col_blocks: list[tuple[int, int]] | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """:func:`mixed_spin_sigma_stack` with jitted D-fill and E-drain loops.
-
-    Walks the plan's cached :class:`~repro.core.plans.LinkIndexTables`
-    (per-string views of the target-sorted halves); same bitwise contract
-    as :func:`compiled_same_spin_sigma_stack`.
-    """
-    if not HAVE_NUMBA:
-        return mixed_spin_sigma_stack(
-            plan, C_stack, block_columns, counters,
-            col_blocks=col_blocks, out=out,
-        )
-    n = plan.n
-    na, nb = plan.shape
-    k = C_stack.shape[0]
-    links = plan.link_tables
-    gb, sa = links.gather_b, links.scatter_a
-    per_b, per_a = gb.pq.shape[1], sa.pq.shape[1]
-    G = plan.g_matrix
-    sigma = np.zeros_like(C_stack) if out is None else out
-    if col_blocks is None:
-        col_blocks = column_blocks(nb, block_columns)
-    D = None
-    for lo, hi in col_blocks:
-        m = hi - lo
-        if D is None or D.shape[2] != m:
-            D = np.zeros((k, n * n, m, na))
-        else:
-            D[...] = 0.0
-        if per_b:
-            _compiled.mixed_spin_gather(D, gb.source, gb.pq, gb.sign, C_stack, lo, m)
-        E = np.matmul(G, D.reshape(k, n * n, m * na)).reshape(k, n * n, m, na)
-        if per_a:
-            _compiled.mixed_spin_scatter(sigma, sa.source, sa.pq, sa.sign, E, lo, m)
-        if counters is not None:
-            counters.dgemm_flops += 2 * (n * n) * (n * n) * m * na * k
-            counters.dgemm_calls += 1
-            counters.gather_elements += m * per_b * na * k
-            counters.scatter_elements += plan.scatter_a.n_entries * m * k
-    return sigma
-
-
-def sigma_sweeps(kernel: str):
-    """(same_spin_stack, mixed_spin_stack) sweep pair for a kernel name.
-
-    How :mod:`repro.parallel.rankwork` dispatches per-rank work: the
-    ``"compiled"`` sweeps run operand-identical DGEMMs with order-identical
-    scatters, so any mix of compiled and NumPy ranks stays bitwise-equal to
-    the serial kernel.
-    """
-    if kernel == "compiled":
-        return compiled_same_spin_sigma_stack, compiled_mixed_spin_sigma_stack
-    if kernel == "dgemm":
-        return same_spin_sigma_stack, mixed_spin_sigma_stack
-    raise ValueError(
-        f"no sigma sweeps for kernel {kernel!r}; expected 'dgemm' or 'compiled'"
-    )
 
 
 def _check_stack(C_stack: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -508,6 +326,16 @@ def _beta_layout(C_stack: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(C_stack.transpose(2, 0, 1).reshape(nb, k * na))
 
 
+def one_electron_sigma(plan: SigmaPlan, C_stack: np.ndarray) -> np.ndarray:
+    """One-electron alpha + beta terms for a (k, na, nb) stack: the prologue
+    every DGEMM-family sweep starts from (serial kernels and real-process
+    rank 0 alike), in the serial accumulation order alpha, then beta."""
+    k, na, nb = C_stack.shape
+    alpha = np.asarray(plan.Ta @ _alpha_layout(C_stack)).reshape(na, k, nb)
+    beta = np.asarray(plan.Tb @ _beta_layout(C_stack)).reshape(nb, k, na)
+    return alpha.transpose(1, 0, 2) + beta.transpose(1, 2, 0)
+
+
 @register_kernel("dgemm")
 class DgemmKernel:
     """The paper's gather/DGEMM/scatter sigma, batched over CI vectors.
@@ -516,7 +344,8 @@ class DgemmKernel:
     (:meth:`SigmaPlan.default_block_columns`).
     """
 
-    # sweep hooks: subclasses swap in operand-identical compiled variants
+    # the two sweeps apply_batch runs, as class-level hooks so a span
+    # recorder can wrap them without touching the module functions
     _same_stack = staticmethod(same_spin_sigma_stack)
     _mixed_stack = staticmethod(mixed_spin_sigma_stack)
 
@@ -543,18 +372,12 @@ class DgemmKernel:
         self, C_stack: np.ndarray, counters: SigmaCounters | None = None
     ) -> np.ndarray:
         plan = self.plan
-        na, nb = plan.shape
         C_stack = _check_stack(C_stack, plan.shape)
-        k = C_stack.shape[0]
         bc = self.block_columns
-        cols = _alpha_layout(C_stack)
         rows_stack = np.ascontiguousarray(C_stack.transpose(0, 2, 1))
         # accumulation order mirrors the single-vector algorithm exactly:
         # one-electron alpha, one-electron beta, alpha-alpha, beta-beta, mixed
-        sigma = np.asarray(plan.Ta @ cols).reshape(na, k, nb).transpose(1, 0, 2)
-        sigma = sigma + np.asarray(
-            plan.Tb @ _beta_layout(C_stack)
-        ).reshape(nb, k, na).transpose(1, 2, 0)
+        sigma = one_electron_sigma(plan, C_stack)
         if plan.same_a is not None:
             sigma += self._same_stack(
                 plan.same_a, plan.w_matrix, C_stack, bc, counters
@@ -567,37 +390,10 @@ class DgemmKernel:
         return sigma
 
 
-@register_kernel("compiled")
-class CompiledKernel(DgemmKernel):
-    """Link-index sigma: DgemmKernel's DGEMMs with compiled gather/scatter.
-
-    When numba is importable the gather/scatter loops run as jitted machine
-    code over the plan's cached :class:`~repro.core.plans.LinkIndexTables`;
-    the DGEMMs are the same ``np.matmul`` calls at the same
-    ``column_blocks``, and the jitted scatters accumulate in
-    ``_segment_sum``'s left-to-right order, so sigma is bitwise-identical
-    to :class:`DgemmKernel` either way.  Without numba the sweeps fall back
-    to the NumPy implementations - literally the DgemmKernel code path -
-    so the kernel is always safe to select (``jitted`` reports which mode
-    is active).
-    """
-
-    jitted = HAVE_NUMBA
-
-    _same_stack = staticmethod(compiled_same_spin_sigma_stack)
-    _mixed_stack = staticmethod(compiled_mixed_spin_sigma_stack)
-
-    def __init__(self, plan: SigmaPlan, *, block_columns: int | None = None):
-        super().__init__(plan, block_columns=block_columns)
-        # build (and cache on the plan) the per-string link views up front
-        # so first-iteration timing reflects the sweep, not table setup
-        self.links = plan.link_tables
-
-
 # -- MOC kernel pieces --------------------------------------------------------
 
 
-def moc_same_spin_sigma(
+def moc_same_spin_rows(
     space,
     W: np.ndarray,
     C_rows: np.ndarray,
@@ -745,14 +541,13 @@ class MocKernel:
         k = C_stack.shape[0]
         cols = _alpha_layout(C_stack)
         rows = _beta_layout(C_stack)
-        sigma = np.asarray(plan.Ta @ cols).reshape(na, k, nb).transpose(1, 0, 2)
-        sigma = sigma + np.asarray(plan.Tb @ rows).reshape(nb, k, na).transpose(1, 2, 0)
+        sigma = one_electron_sigma(plan, C_stack)
         if problem.n_alpha >= 2:
-            sigma += moc_same_spin_sigma(
+            sigma += moc_same_spin_rows(
                 problem.space_a, plan.w_matrix, cols, counters
             ).reshape(na, k, nb).transpose(1, 0, 2)
         if problem.n_beta >= 2:
-            sigma += moc_same_spin_sigma(
+            sigma += moc_same_spin_rows(
                 problem.space_b, plan.w_matrix, rows, counters
             ).reshape(nb, k, na).transpose(1, 2, 0)
         sigma += moc_mixed_sigma_stack(plan, C_stack, counters, self.row_block)

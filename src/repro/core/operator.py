@@ -46,7 +46,7 @@ class HamiltonianOperator:
     problem:
         The :class:`~repro.core.problem.CIProblem`.
     kernel:
-        A registered kernel name ("dgemm", "compiled", "moc") or a ready
+        A registered kernel name ("dgemm", "moc") or a ready
         :class:`~repro.core.kernels.SigmaKernel` instance.  Names are
         resolved through the kernel registry against the problem's cached
         :class:`~repro.core.plans.SigmaPlan`.

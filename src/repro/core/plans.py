@@ -36,9 +36,6 @@ __all__ = [
     "SigmaPlan",
     "SameSpinPlan",
     "MixedSpinHalfPlan",
-    "LinkIndexTables",
-    "SameSpinLink",
-    "SinglesLink",
     "build_w_matrix",
     "build_g_matrix",
     "one_electron_csr",
@@ -147,90 +144,6 @@ class MixedSpinHalfPlan:
         )
 
 
-@dataclass
-class SameSpinLink:
-    """Per-string link-index view of a :class:`SameSpinPlan`.
-
-    pyscf ``gen_linkstr_index`` idiom: the flat entry arrays are source-major
-    with a constant k(k-1)/2 entries per string, so reshaping to
-    (n_strings, pairs_per_string) is free (views, no copy) and gives compiled
-    gather/scatter loops a rectangular table indexed by string.
-    """
-
-    key: np.ndarray  # (n_strings, pairs_per_string) int64, pair * NK + target
-    sign: np.ndarray  # (n_strings, pairs_per_string) float64
-
-    @classmethod
-    def from_plan(cls, splan: SameSpinPlan) -> "SameSpinLink":
-        nstr, kk2 = splan.n_strings, splan.pairs_per_string
-        return cls(
-            key=splan.key.reshape(nstr, kk2),
-            sign=splan.sign.reshape(nstr, kk2),
-        )
-
-
-@dataclass
-class SinglesLink:
-    """Per-target-string link-index view of a :class:`MixedSpinHalfPlan`.
-
-    The half plan is already target-sorted with a constant ``per`` entries
-    per target string, so the (n_strings, per) tables are reshape views of
-    the flat arrays.  Row ``t`` lists all (source, pq, sign) with
-    <t| E_pq |source> = sign - exactly what the compiled beta-gather and
-    alpha-scatter loops walk string-by-string.
-    """
-
-    source: np.ndarray  # (n_strings, per) int64
-    pq: np.ndarray  # (n_strings, per) int64, p * n + q
-    sign: np.ndarray  # (n_strings, per) float64
-
-    @classmethod
-    def from_half(cls, half: MixedSpinHalfPlan, n_strings: int) -> "SinglesLink":
-        per = half.per
-        return cls(
-            source=half.source.reshape(n_strings, per),
-            pq=half.pq.reshape(n_strings, per),
-            sign=half.sign.reshape(n_strings, per),
-        )
-
-
-@dataclass
-class LinkIndexTables:
-    """All per-string link tables of one plan, for compiled kernels.
-
-    Every array is a reshape *view* of the corresponding :class:`SigmaPlan`
-    array (zero copies, zero extra bytes), so building these is O(1); they
-    exist to give jitted loops rectangular per-string indexing instead of
-    flat segment arithmetic.  Cached on the plan via
-    :attr:`SigmaPlan.link_tables`.
-    """
-
-    same_a: SameSpinLink | None
-    same_b: SameSpinLink | None
-    scatter_a: SinglesLink
-    gather_b: SinglesLink
-
-    @classmethod
-    def from_plan(cls, plan: "SigmaPlan") -> "LinkIndexTables":
-        na, nb = plan.shape
-        same_a = SameSpinLink.from_plan(plan.same_a) if plan.same_a is not None else None
-        if plan.same_b is None:
-            same_b = None
-        elif plan.same_b is plan.same_a:
-            same_b = same_a
-        else:
-            same_b = SameSpinLink.from_plan(plan.same_b)
-        scatter_a = SinglesLink.from_half(plan.scatter_a, na)
-        gather_b = (
-            scatter_a
-            if plan.gather_b is plan.scatter_a
-            else SinglesLink.from_half(plan.gather_b, nb)
-        )
-        return cls(
-            same_a=same_a, same_b=same_b, scatter_a=scatter_a, gather_b=gather_b
-        )
-
-
 class SigmaPlan:
     """Everything a sigma kernel needs, compiled once per CI problem.
 
@@ -312,19 +225,6 @@ class SigmaPlan:
             plan = cls(problem)
             problem._sigma_plan = plan
         return plan
-
-    @property
-    def link_tables(self) -> LinkIndexTables:
-        """pyscf ``link_index``-style per-string tables, built lazily, cached.
-
-        Pure reshape views of the plan's flat arrays, so the first access
-        costs O(1) and nothing is double counted in :attr:`nbytes`.
-        """
-        tables = getattr(self, "_link_tables", None)
-        if tables is None:
-            tables = LinkIndexTables.from_plan(self)
-            self._link_tables = tables
-        return tables
 
     @property
     def nbytes(self) -> int:

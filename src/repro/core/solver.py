@@ -151,16 +151,9 @@ class FCISolver:
         Target irrep name (requires point_group); default = irrep of the SCF
         determinant.
     algorithm:
-        Name of a registered sigma kernel: "dgemm" (the paper's algorithm),
-        "compiled" (link-index tables with numba-jitted gather/scatter,
-        falling back to the NumPy sweeps - bitwise-identical to "dgemm" -
-        when numba is not importable), or "moc" (baseline).  Validated
-        against the kernel registry
+        Name of a registered sigma kernel: "dgemm" (the paper's algorithm)
+        or "moc" (baseline).  Validated against the kernel registry
         (:func:`repro.core.kernels.kernel_names`) at construction time.
-    kernel:
-        Alias for ``algorithm`` (the registry's own vocabulary);
-        ``FCISolver(kernel="compiled")`` is the documented spelling.  When
-        both are given, ``kernel`` wins.
     method:
         A registered eigensolver method (:func:`method_names`): "auto"
         (paper's automatically adjusted single-vector method), "davidson",
@@ -190,9 +183,8 @@ class FCISolver:
         shared memory, ``"sockets"`` for real worker processes behind a
         TCP coordinator) or an option dict passed to ``ParallelSigma``
         (e.g. ``{"backend": "sockets", "n_workers": 4}``).  Requires
-        ``algorithm="dgemm"`` or ``"compiled"`` (the parallel decomposition
-        is the paper's DGEMM sigma; the compiled sweeps run it
-        operand-identically); the default None keeps the serial kernel.
+        ``algorithm="dgemm"`` (the parallel decomposition is the paper's
+        DGEMM sigma); the default None keeps the serial kernel.
         Worker pools are shut down when :meth:`run` returns.
     telemetry:
         Optional :class:`repro.obs.Telemetry`.  When given, per-iteration
@@ -218,7 +210,6 @@ class FCISolver:
         point_group: str | None = None,
         wavefunction_irrep: str | None = None,
         algorithm: str = "dgemm",
-        kernel: str | None = None,
         method: str = "auto",
         vector_store: str | dict | None = None,
         block_columns: int | None = None,
@@ -234,8 +225,6 @@ class FCISolver:
         telemetry=None,
         checkpoint=None,
     ):
-        if kernel is not None:
-            algorithm = kernel
         # validate against the kernel registry at construction time, so an
         # unknown algorithm fails here instead of silently falling back later
         if algorithm not in kernel_names():
@@ -281,11 +270,10 @@ class FCISolver:
             )
         self.vector_store = vector_store
         if parallel is not None:
-            if algorithm not in ("dgemm", "compiled"):
+            if algorithm != "dgemm":
                 raise ValueError(
-                    "parallel execution runs the DGEMM sigma decomposition "
-                    "(kernel 'dgemm' or its operand-identical 'compiled' "
-                    f"variant); it cannot be combined with algorithm={algorithm!r}"
+                    "parallel execution runs the DGEMM sigma decomposition; "
+                    f"it cannot be combined with algorithm={algorithm!r}"
                 )
             from ..parallel.backend import backend_names
 
@@ -458,7 +446,6 @@ class FCISolver:
                 # the simulated machine's distributed C/sigma ride the same
                 # storage backend as the solver's held vectors
                 popts.setdefault("vector_store", dict(self.vector_store))
-            popts.setdefault("kernel", self.algorithm)
             kernel = ParallelSigma(
                 problem,
                 block_columns=kwargs["block_columns"],

@@ -65,6 +65,12 @@ __all__ = [
 ]
 
 
+def _check_kernel(kernel: str) -> None:
+    """Real-process pools distribute the DGEMM sigma, and nothing else."""
+    if kernel != "dgemm":
+        raise ValueError(f"parallel backends run the 'dgemm' sweeps; got kernel={kernel!r}")
+
+
 @dataclass
 class SigmaRun:
     """Outcome of one parallel sigma evaluation, backend-independent.
@@ -197,6 +203,7 @@ class ShmBackend(Backend):
         return self.n_workers
 
     def engine(self, plan, block_columns: int, kernel: str = "dgemm"):
+        _check_kernel(kernel)
         if self._engine is None:
             from .shm.engine import ShmSigmaEngine
 
@@ -206,7 +213,6 @@ class ShmBackend(Backend):
                 block_columns=block_columns,
                 blas_threads=self.blas_threads,
                 timeout=self.timeout,
-                kernel=kernel,
             )
         return self._engine
 
@@ -218,9 +224,7 @@ class ShmBackend(Backend):
         }
 
     def run_sigma(self, owner, C: np.ndarray) -> SigmaRun:
-        engine = self.engine(
-            owner.plan, owner.block_columns, getattr(owner, "kernel_name", "dgemm")
-        )
+        engine = self.engine(owner.plan, owner.block_columns)
         try:
             return engine.sigma(C)
         except Exception:
@@ -272,6 +276,7 @@ class SocketsBackend(Backend):
         return self.n_workers
 
     def engine(self, plan, block_columns: int, kernel: str = "dgemm"):
+        _check_kernel(kernel)
         if self._engine is None:
             from .sockets.engine import SocketSigmaEngine
 
@@ -281,7 +286,6 @@ class SocketsBackend(Backend):
                 block_columns=block_columns,
                 blas_threads=self.blas_threads,
                 timeout=self.timeout,
-                kernel=kernel,
                 **self.engine_options,
             )
         return self._engine
@@ -295,9 +299,7 @@ class SocketsBackend(Backend):
         }
 
     def run_sigma(self, owner, C: np.ndarray) -> SigmaRun:
-        engine = self.engine(
-            owner.plan, owner.block_columns, getattr(owner, "kernel_name", "dgemm")
-        )
+        engine = self.engine(owner.plan, owner.block_columns)
         try:
             return engine.sigma(C)
         except Exception:

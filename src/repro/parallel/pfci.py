@@ -60,8 +60,8 @@ import numpy as np
 
 from ..core.kernels import (
     SigmaCounters,
-    compiled_same_spin_sigma,
-    same_spin_sigma,
+    mixed_spin_sigma_stack,
+    same_spin_sigma_stack,
 )
 from ..core.plans import SigmaPlan
 from ..core.problem import CIProblem
@@ -116,15 +116,12 @@ class ParallelSigma:
 
     All coupling tables come from the problem's cached
     :class:`repro.core.plans.SigmaPlan` (one compile, replicated on every
-    simulated rank), and the same-spin kernels are shared with the serial
-    :class:`repro.core.kernels.DgemmKernel`.  ``block_columns=None`` (the
-    default) sizes the column blocks with the plan's memory-budget
-    heuristic, :meth:`SigmaPlan.default_block_columns`.
-
-    ``kernel`` selects the sigma sweep implementation each rank runs
-    (``"dgemm"`` or ``"compiled"``); the compiled sweeps issue
-    operand-identical DGEMMs with order-identical scatters, so the
-    backend bitwise contracts are unchanged by the choice.
+    simulated rank), and every rank on every backend runs the serial
+    :class:`repro.core.kernels.DgemmKernel`'s own sweeps
+    (:func:`~repro.core.kernels.same_spin_sigma_stack`,
+    :func:`~repro.core.kernels.mixed_spin_sigma_stack`).
+    ``block_columns=None`` (the default) sizes the column blocks with the
+    plan's memory-budget heuristic, :meth:`SigmaPlan.default_block_columns`.
 
     ``backend`` selects the execution substrate: ``"simulated"`` (the
     discrete-event X1, default), ``"shm"`` (real OS processes over shared
@@ -149,13 +146,15 @@ class ParallelSigma:
     ``resilient=``).  All three default to off and cost nothing when off.
     """
 
+    # the one sigma decomposition every backend distributes
+    kernel_name = "dgemm"
+
     def __init__(
         self,
         problem: CIProblem,
         config: X1Config | None = None,
         *,
         backend: str | Backend = "simulated",
-        kernel: str = "dgemm",
         n_workers: int | None = None,
         blas_threads: int = 1,
         shm_timeout: float = 300.0,
@@ -171,15 +170,6 @@ class ParallelSigma:
         resilient: bool | None = None,
     ):
         self.problem = problem
-        if kernel not in ("dgemm", "compiled"):
-            raise ValueError(
-                "parallel execution distributes the DGEMM sigma decomposition; "
-                f"kernel must be 'dgemm' or 'compiled', got {kernel!r}"
-            )
-        self.kernel_name = kernel
-        self._same_spin = (
-            compiled_same_spin_sigma if kernel == "compiled" else same_spin_sigma
-        )
         # every rank replicates the problem's one precompiled plan
         # (paper section 3: replicated integrals + coupling tables per rank)
         self.plan = SigmaPlan.for_problem(problem)
@@ -257,13 +247,6 @@ class ParallelSigma:
         self.row_ranges = block_ranges(na, P)
         self.col_ranges = block_ranges(nb, P)
 
-        # replicated tables come straight off the plan: the one-electron CSR
-        # operators and the target-sorted mixed-spin halves are compiled once
-        # per problem, not rebuilt per ParallelSigma (or per call)
-        self.Ta, self.Tb = self.plan.Ta, self.plan.Tb
-        self._per_a = self.plan.scatter_a.per
-        self._per_b = self.plan.gather_b.per
-
         # task pool over alpha rows for the mixed-spin phase; per-unit cost
         # estimated as the GEMM work of one target row (uniform without
         # symmetry; symmetry-blocked spaces get their real per-row block
@@ -287,7 +270,7 @@ class ParallelSigma:
         sa = self.plan.scatter_a
         self._task_meta = []
         for t in self.tasks:
-            elo, ehi = t.start * self._per_a, t.stop * self._per_a
+            elo, ehi = t.start * sa.per, t.stop * sa.per
             src = sa.source[elo:ehi]
             rows_needed, src_local = np.unique(src, return_inverse=True)
             self._task_meta.append(
@@ -296,7 +279,6 @@ class ParallelSigma:
                     "src_local": src_local,
                     "pq": sa.pq[elo:ehi],
                     "sgn": sa.sign[elo:ehi],
-                    "m": t.stop - t.start,
                 }
             )
         # which sigma owners each mixed-spin task touches (for commit checks)
@@ -319,15 +301,15 @@ class ParallelSigma:
         nb = self.problem.space_b.size
         npair = plan.w_matrix.shape[0]
         sig_local = np.zeros((m, nb))
-        sig_local += np.asarray(self.Tb @ Cblk.T).T
+        sig_local += np.asarray(plan.Tb @ Cblk.T).T
         if plan.same_b is not None:
-            sig_local += self._same_spin(
+            sig_local += same_spin_sigma_stack(
                 plan.same_b,
                 plan.w_matrix,
-                np.ascontiguousarray(Cblk.T),
+                np.ascontiguousarray(Cblk.T)[None],
                 self.block_columns,
                 None,
-            ).T
+            )[0].T
         nkb = plan.same_b.n_reduced if plan.same_b is not None else 0
         flops = 2.0 * npair * npair * nkb * m
         t = cfg.dgemm_time(npair, max(nkb * m, 1), npair) if nkb else 0.0
@@ -345,11 +327,11 @@ class ParallelSigma:
         plan = self.plan
         cfg = self.config
         npair = plan.w_matrix.shape[0]
-        X = np.asarray(self.Ta @ colC)
+        X = np.asarray(plan.Ta @ colC)
         if plan.same_a is not None:
-            X += self._same_spin(
-                plan.same_a, plan.w_matrix, colC, self.block_columns, None
-            )
+            X += same_spin_sigma_stack(
+                plan.same_a, plan.w_matrix, colC[None], self.block_columns, None
+            )[0]
         nka = plan.same_a.n_reduced if plan.same_a is not None else 0
         flops = 2.0 * npair * npair * nka * w
         t = cfg.dgemm_time(npair, max(nka * w, 1), npair) if nka else 0.0
@@ -357,27 +339,10 @@ class ParallelSigma:
 
     def _mixed_subset(self, Csub: np.ndarray, meta: dict) -> np.ndarray:
         """Mixed-spin sigma rows for one task from gathered source rows."""
-        plan = self.plan
-        n = plan.n
-        G = plan.g_matrix
-        gb = plan.gather_b
-        g_rows = Csub.shape[0]
-        nb = self.problem.space_b.size
-        m = meta["m"]
-        out = np.zeros((m, nb))
-        bc = self.block_columns
-        for lo in range(0, nb, bc):
-            hi = min(lo + bc, nb)
-            w = hi - lo
-            elo, ehi = lo * self._per_b, hi * self._per_b
-            src, tgt = gb.source[elo:ehi], gb.target[elo:ehi]
-            rs, sgn = gb.pq[elo:ehi], gb.sign[elo:ehi]
-            D = np.zeros((n * n, w, g_rows))
-            D[rs, tgt - lo] = sgn[:, None] * Csub[:, src].T
-            E = (G @ D.reshape(n * n, w * g_rows)).reshape(n * n, w, g_rows)
-            vals = meta["sgn"][:, None] * E[meta["pq"], :, meta["src_local"]]
-            out[:, lo:hi] += vals.reshape(m, self._per_a, w).sum(axis=1)
-        return out
+        targets = (meta["src_local"], meta["pq"], meta["sgn"])
+        return mixed_spin_sigma_stack(
+            self.plan, Csub[None], self.block_columns, None, targets=targets
+        )[0]
 
     def _mixed_task_time(self, meta: dict) -> tuple[float, float]:
         """(seconds, flops) cost-model charge for one mixed-spin task."""

@@ -112,9 +112,7 @@ class JobSpec:
     interchangeable, but a cdfci ``capacity`` changes the convergence path,
     so the safe canonical rule is "different storage config, different job
     key".  ``label`` is a display name only and is excluded from the
-    digests.  ``kernel`` is likewise answer-neutral: it chooses between the
-    bitwise-identical "dgemm"/"compiled" sigma sweeps, so two submissions
-    differing only in ``kernel`` share one job key (and one cached result).
+    digests.
     """
 
     atoms: tuple
@@ -136,18 +134,7 @@ class JobSpec:
     residual_tol: float = 1e-5
     max_iterations: int = 60
     parallel: tuple | None = None
-    kernel: str | None = None
     label: str = ""
-
-    def __post_init__(self):
-        # only the bitwise-identical sweep pair may ride the answer-neutral
-        # field; anything else (e.g. "moc") must go through `algorithm`,
-        # which is part of the job key
-        if self.kernel not in (None, "dgemm", "compiled"):
-            raise ValueError(
-                "kernel must be None, 'dgemm', or 'compiled' (bitwise-"
-                f"identical sweeps only); got {self.kernel!r}"
-            )
 
     # -- construction --------------------------------------------------------
     @classmethod
@@ -167,6 +154,12 @@ class JobSpec:
     def from_dict(cls, data: dict) -> "JobSpec":
         """Build a spec from a JSON-decoded dict (the HTTP submit payload)."""
         data = dict(data)
+        # journals written before the sweep-selector field was removed carry
+        # "kernel" (None, "dgemm" or "compiled" - the only values it ever
+        # accepted); it never entered the job key, so dropping it keeps
+        # every journaled job and cached result addressable
+        if "kernel" in data and data["kernel"] in (None, "dgemm", "compiled"):
+            del data["kernel"]
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown job spec fields: {', '.join(sorted(unknown))}")
@@ -218,7 +211,6 @@ class JobSpec:
             residual_tol=self.residual_tol,
             max_iterations=self.max_iterations,
             parallel=dict(self.parallel) if self.parallel is not None else None,
-            kernel=self.kernel,
         )
 
     # -- content addressing --------------------------------------------------
@@ -226,8 +218,6 @@ class JobSpec:
         """Every answer-affecting field, in canonical JSON-ready form."""
         d = self.to_dict()
         d.pop("label", None)
-        # kernel selects between bitwise-identical sweeps: not answer-affecting
-        d.pop("kernel", None)
         return d
 
     @property

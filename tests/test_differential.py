@@ -55,22 +55,6 @@ EVALUATORS = {
         lambda p: HamiltonianOperator(p, "dgemm", block_columns=BLOCK_COLUMNS),
         "bitwise",
     ),
-    # the compiled kernel's pure-NumPy fallback (and its jitted path, when
-    # numba is importable) must match sigma_dgemm bit for bit
-    "compiled": (
-        lambda p: HamiltonianOperator(p, "compiled", block_columns=BLOCK_COLUMNS),
-        "bitwise",
-    ),
-    "parallel-shm-compiled": (
-        lambda p: ParallelSigma(
-            p,
-            backend="shm",
-            kernel="compiled",
-            n_workers=2,
-            block_columns=BLOCK_COLUMNS,
-        ),
-        "bitwise",
-    ),
     "parallel-simulated": (
         lambda p: ParallelSigma(p, X1Config(n_msps=3)),
         "close",

@@ -236,7 +236,8 @@ class TestVectorizedBuilders:
 
 
 class TestLinkIndexTables:
-    """The plan's per-string link views against dense-operator oracles."""
+    """The plan's target-sorted tables, read per string, against
+    dense-operator oracles."""
 
     def _plan(self, n, na, nb, seed=7):
         from tests.helpers import make_random_problem
@@ -244,24 +245,22 @@ class TestLinkIndexTables:
 
         return SigmaPlan.for_problem(make_random_problem(n, na, nb, seed=seed))
 
-    def test_cached_and_zero_copy(self):
-        plan = self._plan(5, 2, 2)
-        links = plan.link_tables
-        assert plan.link_tables is links  # cached
-        # reshape views share memory with the flat plan arrays
-        assert links.same_a.key.base is plan.same_a.key
-        assert links.gather_b.source.base is plan.gather_b.source
-
     @pytest.mark.parametrize("n,na,nb", [(3, 1, 1), (3, 2, 1), (4, 2, 2), (5, 3, 1)])
     def test_singles_link_against_dense_operator(self, n, na, nb):
-        """Row t of the scatter/gather link lists exactly the nonzeros of
-        column blocks of every E_pq with target t (p-shell-sized spaces)."""
+        """Row t of the scatter/gather tables lists exactly the nonzeros of
+        every E_pq with target t (p-shell-sized spaces)."""
         plan = self._plan(n, na, nb)
-        for link, table in (
-            (plan.link_tables.scatter_a, plan.singles_a),
-            (plan.link_tables.gather_b, plan.singles_b),
+        for half, table in (
+            (plan.scatter_a, plan.singles_a),
+            (plan.gather_b, plan.singles_b),
         ):
             space = table.space
+            shape = (space.size, half.per)
+            source = half.source.reshape(shape)
+            pqs = half.pq.reshape(shape)
+            signs = half.sign.reshape(shape)
+            # target-sorted with a constant count per string: row t is target t
+            assert (half.target.reshape(shape) == np.arange(space.size)[:, None]).all()
             dense = {
                 (p, q): table.as_dense_operator(p, q)
                 for p in range(n)
@@ -269,7 +268,7 @@ class TestLinkIndexTables:
             }
             seen = 0
             for t in range(space.size):
-                for src, pq, sgn in zip(link.source[t], link.pq[t], link.sign[t]):
+                for src, pq, sgn in zip(source[t], pqs[t], signs[t]):
                     p, q = int(pq) // n, int(pq) % n
                     assert dense[(p, q)][t, int(src)] == sgn
                     seen += 1
@@ -281,16 +280,21 @@ class TestLinkIndexTables:
         from repro.core.hamiltonian import apply_annihilation
 
         plan = self._plan(n, na, nb)
-        for link, space, splan in (
-            (plan.link_tables.same_a, plan.problem.space_a, plan.same_a),
-            (plan.link_tables.same_b, plan.problem.space_b, plan.same_b),
+        for space, splan in (
+            (plan.problem.space_a, plan.same_a),
+            (plan.problem.space_b, plan.same_b),
         ):
-            if link is None:
+            if splan is None:
                 continue
             NK = splan.n_reduced
+            shape = (splan.n_strings, splan.pairs_per_string)
+            keys = splan.key.reshape(shape)
+            signs = splan.sign.reshape(shape)
+            # source-major with a constant count per string: row j is string j
+            assert (splan.source.reshape(shape) == np.arange(space.size)[:, None]).all()
             red = StringSpace(n, space.k - 2)
             for j in range(space.size):
-                for key, sgn in zip(link.key[j], link.sign[j]):
+                for key, sgn in zip(keys[j], signs[j]):
                     pair, tgt = int(key) // NK, int(key) % NK
                     # invert pair = q(q-1)/2 + s
                     q = 1

@@ -17,6 +17,7 @@ from repro.core import (
     sigma_dgemm,
     sigma_moc,
 )
+from repro.core.kernels import mixed_spin_sigma_stack
 from tests.helpers import (
     make_random_problem,
     make_symmetry_problem,
@@ -74,6 +75,24 @@ class TestBatchedBitwise:
             sigma_dgemm(problem, C), DgemmKernel(plan).apply(C, None)
         )
         assert np.array_equal(sigma_moc(problem, C), MocKernel(plan).apply(C, None))
+
+    @pytest.mark.parametrize("lo,hi", [(0, 4), (3, 11), (17, 20)])
+    def test_mixed_targets_span_matches_full_sweep(self, problem, lo, hi):
+        # a target span fed only its gathered source rows (how the
+        # simulated X1 ranks call the sweep) reproduces those rows of the
+        # full alpha-beta term
+        plan = SigmaPlan.for_problem(problem)
+        sa = plan.scatter_a
+        C = problem.random_vector(5)[None]
+        full = mixed_spin_sigma_stack(plan, C, 3, None)
+        elo, ehi = lo * sa.per, hi * sa.per
+        rows, src_local = np.unique(sa.source[elo:ehi], return_inverse=True)
+        span = mixed_spin_sigma_stack(
+            plan, C[:, rows], 3, None,
+            targets=(src_local, sa.pq[elo:ehi], sa.sign[elo:ehi]),
+        )
+        assert span.shape == (1, hi - lo, plan.shape[1])
+        assert np.max(np.abs(span - full[:, lo:hi])) < 1e-12
 
 
 class TestBatchedCounters:

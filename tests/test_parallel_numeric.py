@@ -115,3 +115,52 @@ class TestParallelEigensolve:
         )
         assert res.converged
         assert abs(res.energy - ref.energy) < 1e-9
+
+
+class TestVirtualTimeAccounting:
+    """The simulated X1's cost-model charges, pinned exactly.
+
+    The ranks' numerics run the serial kernel's sweeps, but what they are
+    *charged* comes from the X1 cost model alone; these figures were
+    recorded before the ranks' arithmetic moved onto the shared sweeps, so
+    any drift means a numeric change leaked into the virtual-time model.
+    """
+
+    PINS = {
+        False: (
+            0.0005987858034422307,
+            7436700.0,
+            34800.0,
+            {
+                "alpha-alpha": 1.5332922772547686e-05,
+                "alpha-beta": 0.00048622939875786773,
+                "beta-beta": 1.4674819118153212e-06,
+            },
+        ),
+        True: (
+            0.0006594333097462886,
+            7436700.0,
+            42864.0,
+            {
+                "alpha-alpha": 1.8336738157163047e-05,
+                "alpha-alpha:recover": 3.0649846153846098e-06,
+                "alpha-beta": 0.0004922370295270984,
+                "alpha-beta:recover": 3.064984615384664e-06,
+                "beta-beta": 3.33511129279633e-06,
+                "beta-beta:recover": 3.0649846153846166e-06,
+            },
+        ),
+    }
+
+    @pytest.mark.parametrize("resilient", [False, True], ids=["faultfree", "resilient"])
+    def test_report_is_exactly_the_pinned_charge(self, resilient):
+        prob = make_random_problem(6, 3, 2, seed=23)
+        C = prob.random_vector(5)
+        ps = ParallelSigma(prob, X1Config(n_msps=3), resilient=resilient)
+        out = ps(C)
+        assert np.max(np.abs(out - sigma_dgemm(prob, C))) < 1e-10
+        elapsed, flops, moved, phases = self.PINS[resilient]
+        assert ps.report.elapsed == elapsed
+        assert ps.report.flops == flops
+        assert ps.report.bytes_communicated == moved
+        assert ps.report.phase_times == phases

@@ -90,6 +90,23 @@ class TestJobSpec:
         with pytest.raises(ValueError, match="atoms"):
             JobSpec.from_dict({"atoms": []})
 
+    @pytest.mark.parametrize("legacy_kernel", [None, "compiled"])
+    def test_legacy_kernel_field_loads_with_same_job_key(self, h2, legacy_kernel):
+        # journals from before the sweep selector was removed store
+        # "kernel" inside the spec; they must still load and stay cache hits
+        current = spec_for(h2)
+        legacy = {**current.to_dict(), "kernel": legacy_kernel}
+        assert JobSpec.from_dict(legacy).job_key == current.job_key
+        rec = JobRecord(key=current.job_key, spec=current)
+        journal = {**rec.to_journal(), "spec": legacy}
+        restored = JobRecord.from_journal(json.loads(json.dumps(journal)))
+        assert restored.spec == current
+        assert restored.spec.job_key == current.job_key
+
+    def test_kernel_field_with_other_values_rejected(self, h2):
+        with pytest.raises(ValueError, match="unknown job spec fields: kernel"):
+            JobSpec.from_dict({**spec_for(h2).to_dict(), "kernel": "moc"})
+
     def test_parallel_options_are_frozen_and_round_trip(self, h2):
         a = spec_for(h2, parallel={"backend": "shm", "n_workers": 2})
         assert isinstance(a.parallel, tuple)

@@ -128,6 +128,15 @@ class TestShmValidation:
         with pytest.raises(ValueError, match="tracing"):
             ParallelSigma(problem, backend="shm", tracer=ChromeTracer())
 
+    @pytest.mark.parametrize("name", ["shm", "sockets"])
+    def test_engine_accepts_only_the_dgemm_sweeps(self, problem, name):
+        backend = make_backend(name, n_workers=1)
+        plan = ParallelSigma(problem, backend=backend).plan
+        # refused before any worker process starts
+        with pytest.raises(ValueError, match="'dgemm' sweeps"):
+            backend.engine(plan, 4, "compiled")
+        assert backend._engine is None
+
     def test_solver_rejects_parallel_moc(self, h2):
         with pytest.raises(ValueError, match="DGEMM"):
             FCISolver(h2, algorithm="moc", parallel="shm")
