@@ -18,7 +18,7 @@ pipeline actually feels once ``acc`` is fire-and-forget and only
 Everything here is **informational only** (``gate_enforced: false``,
 never asserted): loopback latency on a shared CI runner is weather, not
 trajectory.  The gated correctness bar for this backend lives in the
-conformance suite and ``scripts/sockets_smoke.py``.
+conformance suite and ``scripts/pool_smoke.py``.
 
 Environment overrides (all optional):
 

@@ -4,9 +4,11 @@ The numeric driver (:class:`ParallelSigma`) runs the paper's rank
 decomposition on the simulated Cray-X1 (virtual time), on real OS
 processes over shared memory (:mod:`repro.parallel.shm`), or on real OS
 processes behind a TCP coordinator (:mod:`repro.parallel.sockets`); the
-:class:`~repro.parallel.backend.Backend` protocol is the seam, and
+:class:`~repro.parallel.backend.Backend` protocol is the seam,
 :mod:`repro.parallel.rankwork` is the one decomposition + per-rank
-program every real-process substrate executes.
+program every real-process substrate executes, and
+:mod:`repro.parallel.pool` is the one worker-pool engine both real-process
+transports run on.
 """
 
 from .backend import Backend, SigmaRun, backend_names, make_backend

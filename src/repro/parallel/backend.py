@@ -36,6 +36,14 @@ Three backends implement the protocol:
   Workers are spawned on loopback or join from other hosts; heartbeats
   make a dead worker a named ``RuntimeError``, not a hang.
 
+The two real-process backends are one engine over two transports:
+:class:`PoolBackend` (registered as ``"shm"`` and ``"sockets"``) builds a
+:class:`~repro.parallel.pool.PoolEngine` — spawn with BLAS pinning, the
+request/collect loop that names a dead worker, the deterministic
+reduction and the per-rank stats, all written once — whose transport
+subclass only supplies the heap, the control channels and how a rank's
+outputs reach the parent.
+
 A :class:`Backend` instance owns whatever long-lived machinery its verbs
 need (the simulated heap/engine, or the worker process pool) and executes
 one parallel sigma evaluation per :meth:`run_sigma` call, returning the
@@ -46,6 +54,8 @@ accounting layer for every backend alike.
 from __future__ import annotations
 
 import abc
+import inspect
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +67,7 @@ __all__ = [
     "Backend",
     "SigmaRun",
     "SimulatedBackend",
+    "PoolBackend",
     "ShmBackend",
     "SocketsBackend",
     "backend_names",
@@ -171,14 +182,15 @@ class SimulatedBackend(Backend):
         return owner._run_simulated(C)
 
 
-@register_backend("shm")
-class ShmBackend(Backend):
-    """Real OS processes over POSIX shared memory.
+class PoolBackend(Backend):
+    """Real OS processes: the worker-pool engine (:mod:`repro.parallel.pool`)
+    over the transport of a subclass's :meth:`engine_class`.
 
-    Lazily builds a :class:`repro.parallel.shm.ShmSigmaEngine` (spawned
-    worker pool, each loading the pickled plan once with BLAS threads
-    pinned) on first use and keeps it alive across sigma evaluations, so
-    eigensolver iterations pay the spawn cost once.
+    Lazily builds the engine (spawned worker pool, each loading the pickled
+    plan once with BLAS threads pinned) on first use and keeps it alive
+    across sigma evaluations, so eigensolver iterations pay the spawn cost
+    once.  Extra keyword options pass straight through to the engine; a
+    name the engine does not take is refused here.
     """
 
     def __init__(
@@ -187,16 +199,28 @@ class ShmBackend(Backend):
         n_workers: int | None = None,
         blas_threads: int = 1,
         timeout: float = 300.0,
-        **_ignored,
+        **engine_options,
     ):
-        import os
-
         self.n_workers = int(n_workers) if n_workers else min(4, os.cpu_count() or 1)
         if self.n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         self.blas_threads = int(blas_threads)
         self.timeout = float(timeout)
+        accepted = inspect.signature(self.engine_class()).parameters
+        unknown = sorted(set(engine_options) - set(accepted))
+        if unknown:
+            raise TypeError(
+                f"unknown {self.name} backend option(s) {unknown}; the engine "
+                f"takes {sorted(accepted)}"
+            )
+        self.engine_options = dict(engine_options)
         self._engine = None
+
+    @staticmethod
+    def engine_class() -> type:
+        """The transport's engine (imported lazily: a worker process must
+        not load the other transport's package)."""
+        raise NotImplementedError
 
     @property
     def n_ranks(self) -> int:
@@ -205,14 +229,13 @@ class ShmBackend(Backend):
     def engine(self, plan, block_columns: int, kernel: str = "dgemm"):
         _check_kernel(kernel)
         if self._engine is None:
-            from .shm.engine import ShmSigmaEngine
-
-            self._engine = ShmSigmaEngine(
+            self._engine = self.engine_class()(
                 plan,
                 n_workers=self.n_workers,
                 block_columns=block_columns,
                 blas_threads=self.blas_threads,
                 timeout=self.timeout,
+                **self.engine_options,
             )
         return self._engine
 
@@ -230,7 +253,7 @@ class ShmBackend(Backend):
         except Exception:
             # a failed run closes the engine; drop it so the next call
             # spins up a fresh pool instead of hitting the closed guard
-            if getattr(engine, "_closed", False):
+            if engine._closed:
                 self._engine = None
             raise
 
@@ -238,76 +261,32 @@ class ShmBackend(Backend):
         if self._engine is not None:
             self._engine.close()
             self._engine = None
+
+
+@register_backend("shm")
+class ShmBackend(PoolBackend):
+    """Worker pool over POSIX shared memory
+    (:class:`repro.parallel.shm.ShmSigmaEngine`)."""
+
+    @staticmethod
+    def engine_class() -> type:
+        from .shm.engine import ShmSigmaEngine
+
+        return ShmSigmaEngine
 
 
 @register_backend("sockets")
-class SocketsBackend(Backend):
-    """Real OS processes behind a TCP coordinator (loopback or multi-node).
+class SocketsBackend(PoolBackend):
+    """Worker pool behind a TCP coordinator, loopback or multi-node
+    (:class:`repro.parallel.sockets.SocketSigmaEngine`); its extra options
+    are ``host``/``port``/``token``/``spawn``/``heartbeat_interval``/
+    ``heartbeat_misses``."""
 
-    Lazily builds a :class:`repro.parallel.sockets.SocketSigmaEngine` — a
-    coordinator serving the symmetric heap over length-prefixed TCP plus
-    ``n_workers`` spawned (or, with ``spawn="external"``, hand-started)
-    worker processes — on first use and keeps it alive across sigma
-    evaluations.  Extra keyword options (``host``/``port``/``token``/
-    ``spawn``/``heartbeat_interval``/``heartbeat_misses``/
-    ``straggle_seconds``) pass straight through to the engine.
-    """
+    @staticmethod
+    def engine_class() -> type:
+        from .sockets.engine import SocketSigmaEngine
 
-    def __init__(
-        self,
-        *,
-        n_workers: int | None = None,
-        blas_threads: int = 1,
-        timeout: float = 300.0,
-        **engine_options,
-    ):
-        import os
-
-        self.n_workers = int(n_workers) if n_workers else min(4, os.cpu_count() or 1)
-        if self.n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        self.blas_threads = int(blas_threads)
-        self.timeout = float(timeout)
-        self.engine_options = dict(engine_options)
-        self._engine = None
-
-    @property
-    def n_ranks(self) -> int:
-        return self.n_workers
-
-    def engine(self, plan, block_columns: int, kernel: str = "dgemm"):
-        _check_kernel(kernel)
-        if self._engine is None:
-            from .sockets.engine import SocketSigmaEngine
-
-            self._engine = SocketSigmaEngine(
-                plan,
-                n_workers=self.n_workers,
-                block_columns=block_columns,
-                blas_threads=self.blas_threads,
-                timeout=self.timeout,
-                **self.engine_options,
-            )
-        return self._engine
+        return SocketSigmaEngine
 
     def describe(self) -> dict:
-        return {
-            "backend": self.name,
-            "n_ranks": self.n_ranks,
-            "blas_threads": self.blas_threads,
-            "spawn": self.engine_options.get("spawn", "process"),
-        }
-
-    def run_sigma(self, owner, C: np.ndarray) -> SigmaRun:
-        engine = self.engine(owner.plan, owner.block_columns)
-        try:
-            return engine.sigma(C)
-        except Exception:
-            if getattr(engine, "_closed", False):
-                self._engine = None
-            raise
-
-    def close(self) -> None:
-        if self._engine is not None:
-            self._engine.close()
-            self._engine = None
+        return {**super().describe(), "spawn": self.engine_options.get("spawn", "process")}

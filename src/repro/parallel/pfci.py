@@ -237,8 +237,8 @@ class ParallelSigma:
     ) -> None:
         """Rank ranges, task pool, and gather metadata of the simulated X1.
 
-        The shm backend builds its own (column-block based) decomposition
-        inside :class:`repro.parallel.shm.ShmSigmaEngine`; everything here
+        The real-process pools build their own (column-block based)
+        decomposition in :mod:`repro.parallel.rankwork`; everything here
         belongs to the virtual machine's alpha-row distribution.
         """
         problem = self.problem

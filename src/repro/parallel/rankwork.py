@@ -1,4 +1,4 @@
-"""Rank-level sigma work shared by the real-process execution backends.
+"""The one sigma decomposition and per-rank program of the real-process pools.
 
 The ``shm`` and ``sockets`` backends distribute the *same* decomposition:
 the serial kernel's canonical column blocks (:func:`repro.core.kernels
@@ -9,16 +9,19 @@ aggregation (:func:`repro.parallel.taskpool.build_task_pool`) the
 simulated MSPs use.  Because every block is a *whole* canonical column
 block, each DGEMM sees exactly the operands the serial kernel would give
 it, and the parent's left-to-right reduction of the four owned outputs
-(``one`` → ``aa`` → ``bb``:sup:`T` → ``mix``) reproduces the serial
-accumulation order — which together make the result bitwise-identical to
-``sigma_dgemm`` for any worker count.
+(``one`` → ``aa`` → ``bb``:sup:`T` → ``mix``, in
+:mod:`repro.parallel.pool`) reproduces the serial accumulation order —
+which together make the result bitwise-identical to ``sigma_dgemm`` for
+any worker count.
 
-This module is that shared decomposition and per-rank program in one
-place, so a new substrate (sockets today, MPI tomorrow) cannot drift from
-the bitwise contract by re-implementing it: the substrate only decides
+This module is that decomposition (:class:`SigmaDecomposition`, shipped
+whole to every worker) and the per-rank program
+(:func:`run_rank_sigma`) in one place, so a transport cannot drift from
+the bitwise contract by re-implementing them: the transport only decides
 *where* the output arrays live (shared-memory segments for ``shm``, local
 buffers shipped over TCP for ``sockets``) and *how* tasks are claimed
-(the backend's ``fetch_add`` verb).
+(its ``fetch_add`` verb).  The pool machinery around the program — spawn,
+request loop, collect, reduce — is :mod:`repro.parallel.pool`.
 """
 
 from __future__ import annotations
@@ -43,23 +46,26 @@ __all__ = ["SigmaDecomposition", "build_sigma_decomposition", "run_rank_sigma"]
 
 @dataclass(frozen=True)
 class SigmaDecomposition:
-    """How one sigma evaluation is carved across worker ranks.
+    """How one sigma evaluation is carved across ``n_workers`` ranks.
 
     ``aa_blocks``/``bb_blocks`` are the serial kernel's canonical column
-    blocks over the beta/alpha axes (round-robined across ranks);
-    ``tasks`` are (start, stop) spans of ``aa_blocks`` indices claimed
-    dynamically through ``fetch_add`` for the mixed-spin term.
+    blocks (``block_columns`` wide) over the beta/alpha axes, round-robined
+    across ranks; ``tasks`` are (start, stop) spans of ``aa_blocks``
+    indices claimed dynamically through ``fetch_add`` for the mixed-spin
+    term.
     """
 
     aa_blocks: list[tuple[int, int]]
     bb_blocks: list[tuple[int, int]]
     tasks: list[tuple[int, int]]
+    n_workers: int
+    block_columns: int
 
-    def owned_aa_blocks(self, rank: int, n_workers: int) -> list[tuple[int, int]]:
-        return self.aa_blocks[rank::n_workers]
+    def owned_aa_blocks(self, rank: int) -> list[tuple[int, int]]:
+        return self.aa_blocks[rank :: self.n_workers]
 
-    def owned_bb_blocks(self, rank: int, n_workers: int) -> list[tuple[int, int]]:
-        return self.bb_blocks[rank::n_workers]
+    def owned_bb_blocks(self, rank: int) -> list[tuple[int, int]]:
+        return self.bb_blocks[rank :: self.n_workers]
 
     def task_column_span(self, tid: int) -> tuple[int, int]:
         """The contiguous beta-column range task ``tid`` writes (its owned
@@ -88,7 +94,13 @@ def build_sigma_decomposition(
         n_large_per_proc=1,
         n_small_per_proc=2,
     )
-    return SigmaDecomposition(aa_blocks, bb_blocks, [(t.start, t.stop) for t in tasks])
+    return SigmaDecomposition(
+        aa_blocks,
+        bb_blocks,
+        [(t.start, t.stop) for t in tasks],
+        n_workers,
+        block_columns,
+    )
 
 
 def run_rank_sigma(
@@ -97,16 +109,12 @@ def run_rank_sigma(
     C_stack: np.ndarray,
     outs: dict[str, np.ndarray],
     fetch_add,
+    decomposition: SigmaDecomposition,
     *,
-    block_columns: int,
-    n_workers: int,
-    aa_blocks: list[tuple[int, int]],
-    bb_blocks: list[tuple[int, int]],
-    tasks: list[tuple[int, int]],
     counters: SigmaCounters,
     phase_times: dict[str, float],
     per_task_seconds: float = 0.0,
-) -> tuple[int, list[int]]:
+) -> list[int]:
     """Execute one rank's share of a sigma evaluation, in place.
 
     ``outs`` maps ``one``/``aa``/``mix`` to (na, nb) arrays and ``bb`` to
@@ -117,9 +125,10 @@ def run_rank_sigma(
     sleep inside every claimed mixed-spin task that widens the span window
     so fault tests can reliably kill a worker *mid-span*.
 
-    Returns ``(n_tasks_done, claimed_task_ids)``.
+    Returns the ids of the mixed-spin tasks this rank claimed.
     """
-    bc = block_columns
+    bc = decomposition.block_columns
+    tasks = decomposition.tasks
 
     # one-electron alpha + beta: rank 0, exactly the serial prologue
     if rank == 0:
@@ -129,7 +138,7 @@ def run_rank_sigma(
 
     # alpha-alpha doubles: this rank's round-robin share of the beta-axis
     # column blocks, stored into disjoint owned windows of `aa`
-    my_aa = aa_blocks[rank::n_workers]
+    my_aa = decomposition.owned_aa_blocks(rank)
     if plan.same_a is not None and my_aa:
         t0 = time.perf_counter()
         same_spin_sigma_stack(
@@ -145,7 +154,7 @@ def run_rank_sigma(
 
     # beta-beta doubles on the transposed stack (paper Fig. 2a), blocks
     # over the alpha axis
-    my_bb = bb_blocks[rank::n_workers]
+    my_bb = decomposition.owned_bb_blocks(rank)
     if plan.same_b is not None and my_bb:
         t0 = time.perf_counter()
         rows_stack = np.ascontiguousarray(C_stack.transpose(0, 2, 1))
@@ -176,9 +185,9 @@ def run_rank_sigma(
             C_stack,
             bc,
             counters,
-            col_blocks=aa_blocks[blo:bhi],
+            col_blocks=decomposition.aa_blocks[blo:bhi],
             out=mix_out,
         )
         claimed.append(tid)
     phase_times["alpha-beta"] = time.perf_counter() - t0
-    return len(claimed), claimed
+    return claimed

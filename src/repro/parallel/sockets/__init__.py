@@ -8,12 +8,13 @@ commodity sockets.  A :class:`~repro.parallel.sockets.coordinator
 messages to workers that are spawned on loopback today and can join from
 other hosts tomorrow (``python -m repro.parallel.sockets.worker``).
 
-:class:`~repro.parallel.sockets.engine.SocketSigmaEngine` runs the same
-per-rank sigma program as the shm backend
-(:mod:`repro.parallel.rankwork`), so sigma stays bitwise-identical to the
-serial kernel for any worker count; it adds heartbeat-based dead-worker
-detection so a killed worker yields a diagnostic ``RuntimeError`` naming
-the rank, never a hang.
+:class:`~repro.parallel.sockets.engine.SocketSigmaEngine` is the TCP
+transport of the same worker-pool engine as the shm backend
+(:mod:`repro.parallel.pool`, running the per-rank program of
+:mod:`repro.parallel.rankwork`), so sigma stays bitwise-identical to the
+serial kernel for any worker count; the transport adds the handshake,
+external joins and heartbeats, so a killed worker yields a diagnostic
+``RuntimeError`` naming the rank, never a hang.
 """
 
 from .comm import SocketComm

@@ -56,7 +56,6 @@ class SocketCommSpec:
     token: str
     n_ranks: int
     timeout: float
-    heartbeat_interval: float = 0.25
 
 
 class Coordinator:
@@ -71,11 +70,9 @@ class Coordinator:
         port: int = 0,
         token: str | None = None,
         timeout: float = 300.0,
-        heartbeat_interval: float = 0.25,
     ):
         self.n_ranks = int(n_ranks)
         self.timeout = float(timeout)
-        self.heartbeat_interval = float(heartbeat_interval)
         self.token = token if token else os.urandom(8).hex()
         self._arrays = {
             name: np.zeros(shape, dtype=np.float64) for name, shape in arrays.items()
@@ -108,7 +105,6 @@ class Coordinator:
             token=self.token,
             n_ranks=self.n_ranks,
             timeout=self.timeout,
-            heartbeat_interval=self.heartbeat_interval,
         )
 
     def _accept_loop(self) -> None:

@@ -1,4 +1,4 @@
-"""Worker process for the sockets sigma engine.
+"""Worker process of the sockets transport.
 
 Each worker is one *rank* of the paper's decomposition on a real OS
 process reached only through TCP — spawned on loopback by the engine, or
@@ -12,27 +12,27 @@ A worker opens two channels to the coordinator: the control channel
 long DGEMM from a dead process) and the data channel
 (:class:`~repro.parallel.sockets.comm.SocketComm`, the five DDI verbs).
 
-Spawned workers receive the pickled :class:`~repro.core.plans.SigmaPlan`
-once through the spawn args (the paper's replicated coupling tables);
-external workers request it once over the control channel.  Either way
-the per-rank program is :func:`repro.parallel.rankwork.run_rank_sigma` —
-*the same code the shm workers run* — into local zeroed buffers whose
-disjoint owned windows are then shipped with ``acc`` and fenced with
-``quiet`` before ``done`` is reported, so the parent's deterministic
-one → aa → bb\\ :sup:`T` → mix reduction stays bitwise-identical to the
-serial kernel for any worker count.
+Spawned workers receive the payload (the pickled
+:class:`~repro.core.plans.SigmaPlan` and decomposition) once through the
+spawn args; external workers request it once over the control channel.
+The BLAS pinning, the request loop and the per-rank program with its
+stats reply are the pool engine's (:mod:`repro.parallel.pool`), shared
+with the shm workers.  What is sockets-specific: the rank computes into
+local zeroed buffers whose disjoint owned windows are then shipped with
+``acc`` and fenced with ``quiet`` before ``done`` is reported (timed as
+``wire-ship``), and its bytes are the data channel's wire bytes.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 import traceback
 
 import numpy as np
 
-from ...core.kernels import SigmaCounters
-from ..rankwork import run_rank_sigma
+from ..pool import pin_blas_threads, run_sigma, serve_requests
 from .comm import SocketComm
 from .coordinator import SocketCommSpec
 from .wire import WireError, connect_with_retry
@@ -40,103 +40,52 @@ from .wire import WireError, connect_with_retry
 __all__ = ["worker_main", "main"]
 
 
-def _pin_blas_threads(n: int):
-    """Best-effort runtime cap on BLAS pool size (env vars already set)."""
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        return None
-    try:
-        return threadpool_limits(limits=n)
-    except Exception:
-        return None
-
-
-def _run_sigma(rank: int, comm: SocketComm, payload: dict) -> dict:
-    """One sigma evaluation; returns the rank's wall-clock stats."""
+def _local_outputs(rank: int, payload: dict) -> dict[str, np.ndarray]:
+    """Zeroed buffers for the outputs this rank owns windows of."""
     plan = payload["plan"]
-    bc = payload["block_columns"]
-    n_workers = payload["n_workers"]
-    aa_blocks = payload["aa_blocks"]
-    bb_blocks = payload["bb_blocks"]
-    tasks = payload["tasks"]
+    decomp = payload["decomposition"]
     na, nb = plan.shape
-
-    counters = SigmaCounters()
-    phase_times: dict[str, float] = {}
-    t_start = time.perf_counter()
-
-    # one framed fetch of the whole coefficient matrix (the "replicated C"
-    # a remote rank cannot window into for free the way shared memory can)
-    C_stack = comm.get("C")[None]
-
-    # local zeroed buffers standing in for the shm backend's owned
-    # segments; only this rank's disjoint owned windows get written
-    outs: dict[str, np.ndarray] = {"mix": np.zeros((na, nb))}
+    outs = {"mix": np.zeros((na, nb))}
     if rank == 0:
         outs["one"] = np.zeros((na, nb))
-    my_aa = aa_blocks[rank::n_workers]
-    my_bb = bb_blocks[rank::n_workers]
-    if plan.same_a is not None and my_aa:
+    if plan.same_a is not None and decomp.owned_aa_blocks(rank):
         outs["aa"] = np.zeros((na, nb))
-    if plan.same_b is not None and my_bb:
+    if plan.same_b is not None and decomp.owned_bb_blocks(rank):
         outs["bb"] = np.zeros((nb, na))
+    return outs
 
-    _, claimed = run_rank_sigma(
-        rank,
-        plan,
-        C_stack,
-        outs,
-        comm.fetch_add,
-        block_columns=bc,
-        n_workers=n_workers,
-        aa_blocks=aa_blocks,
-        bb_blocks=bb_blocks,
-        tasks=tasks,
-        counters=counters,
-        phase_times=phase_times,
-        per_task_seconds=payload.get("straggle_seconds", 0.0),
-    )
 
-    # ship the owned windows: acc into segments the parent zeroed, which
-    # is a store (0.0 + x) element-for-element because the windows are
-    # disjoint — then fence with quiet before reporting done
+def _ship(comm: SocketComm, rank: int, decomp, outs, claimed, counters, phase_times):
+    """Ship this rank's owned windows; returns the wire bytes (sent, received)."""
+    # acc into segments the parent zeroed, which is a store (0.0 + x)
+    # element-for-element because the windows are disjoint — then fence
+    # with quiet before reporting done
     t0 = time.perf_counter()
     full = (slice(None), slice(None))
     if rank == 0:
         comm.acc("one", full, outs["one"])
     if "aa" in outs:
-        for lo, hi in my_aa:
+        for lo, hi in decomp.owned_aa_blocks(rank):
             comm.acc("aa", (slice(None), slice(lo, hi)), outs["aa"][:, lo:hi])
     if "bb" in outs:
-        for lo, hi in my_bb:
+        for lo, hi in decomp.owned_bb_blocks(rank):
             comm.acc("bb", (slice(None), slice(lo, hi)), outs["bb"][:, lo:hi])
     for tid in claimed:
-        blo, bhi = tasks[tid]
-        clo, chi = aa_blocks[blo][0], aa_blocks[bhi - 1][1]
-        comm.acc("mix", (slice(None), slice(clo, chi)), outs["mix"][:, clo:chi])
-    comm.quiet()  # all owned-window accumulates applied before we report done
+        lo, hi = decomp.task_column_span(tid)
+        comm.acc("mix", (slice(None), slice(lo, hi)), outs["mix"][:, lo:hi])
+    comm.quiet()
     phase_times["wire-ship"] = time.perf_counter() - t0
-
-    busy = time.perf_counter() - t_start
-    return {
-        "phase_times": phase_times,
-        "busy": busy,
-        "tasks_done": len(claimed),
-        "wire_tx": comm.tx_bytes,
-        "wire_rx": comm.rx_bytes,
-        **counters.as_dict(),
-    }
+    return comm.tx_bytes, comm.rx_bytes
 
 
 def worker_main(rank: int | None, spec: SocketCommSpec, payload: dict | None) -> None:
     """Entry point of a worker: dial in, handshake, serve sigma requests.
 
-    Control protocol (engine -> worker): ``("sigma", seq)`` evaluate one
-    sigma; ``("stop",)`` exit; ``("plan", payload)`` delivers the plan to
-    an external worker.  Worker -> engine: ``("ready", rank, has_plan)``
-    after both channels are up, ``("hb", rank)`` heartbeats, then
-    ``("done", seq, stats)`` or ``("error", seq, traceback_text)``.
+    Control protocol (engine -> worker): ``("plan", payload)`` delivers the
+    payload to an external worker, then the pool's request loop
+    (:func:`repro.parallel.pool.serve_requests`).  Worker -> engine:
+    ``("ready", rank, has_payload)`` after both channels are up and
+    ``("hb", rank)`` heartbeats.
     """
     ctrl = None
     comm = None
@@ -155,34 +104,23 @@ def worker_main(rank: int | None, spec: SocketCommSpec, payload: dict | None) ->
             if msg[0] != "plan":
                 raise WireError(f"expected plan delivery, got {msg[0]!r}")
             payload = msg[1]
-        limiter = _pin_blas_threads(payload.get("blas_threads", 1))  # noqa: F841
-
-        interval = payload.get("heartbeat_interval", spec.heartbeat_interval)
+        limiter = pin_blas_threads(payload["blas_threads"])  # noqa: F841
 
         def _heartbeat():
-            while not stop_hb.wait(interval):
+            while not stop_hb.wait(payload["heartbeat_interval"]):
                 try:
                     ctrl.send(("hb", rank))
                 except WireError:
                     return
 
+        outputs = functools.partial(_local_outputs, rank, payload)
+        ship = functools.partial(_ship, comm, rank, payload["decomposition"])
         hb = threading.Thread(target=_heartbeat, name="repro-sockets-hb", daemon=True)
         hb.start()
-        comm.barrier(payload.get("timeout"))
-        while True:
-            try:
-                msg = ctrl.recv(timeout=None)
-            except WireError:
-                break
-            if msg[0] == "stop":
-                break
-            if msg[0] == "sigma":
-                seq = msg[1]
-                try:
-                    stats = _run_sigma(rank, comm, payload)
-                    ctrl.send(("done", seq, stats))
-                except Exception:
-                    ctrl.send(("error", seq, traceback.format_exc()))
+        comm.barrier(payload["timeout"])
+        serve_requests(
+            ctrl, WireError, lambda: run_sigma(rank, comm, payload, outputs, ship)
+        )
     except Exception:
         if ctrl is not None:
             try:

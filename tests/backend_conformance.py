@@ -276,11 +276,14 @@ class BackendConformanceSuite:
         na, nb = plan.shape
 
         # same-spin round-robin: every column owned by exactly one rank
-        for blocks, n_cols in ((decomp.aa_blocks, nb), (decomp.bb_blocks, na)):
+        for owned_blocks, n_cols in (
+            (decomp.owned_aa_blocks, nb),
+            (decomp.owned_bb_blocks, na),
+        ):
             owned = [
                 col
                 for rank in range(n_workers)
-                for lo, hi in blocks[rank::n_workers]
+                for lo, hi in owned_blocks(rank)
                 for col in range(lo, hi)
             ]
             assert sorted(owned) == list(range(n_cols))
@@ -311,3 +314,35 @@ class BackendConformanceSuite:
             )
             # and stable across repeated evaluations on the same pool
             assert np.array_equal(ps(C), ref)
+
+    # ---- backend options ----------------------------------------------------
+    def test_unknown_backend_option_is_refused(self, adapter):
+        problem = make_random_problem(5, 2, 2, seed=29)
+        with pytest.raises(TypeError, match="n_wrokers"):
+            ParallelSigma(
+                problem,
+                backend=adapter.name,
+                n_workers=1,
+                backend_options={"n_wrokers": 4},
+            )
+
+    def test_straggle_option_reaches_the_workers(self, adapter):
+        """``straggle_seconds`` sleeps inside every claimed mixed-spin task,
+        so one sigma lasts at least the busiest worker's share of
+        ``n_tasks * straggle`` — a lower bound only a forwarded option meets."""
+        problem = make_random_problem(5, 2, 2, seed=29)
+        C = problem.random_vector(1)
+        n_workers, straggle = 2, 0.1
+        with ParallelSigma(
+            problem,
+            backend=adapter.name,
+            n_workers=n_workers,
+            block_columns=BLOCK_COLUMNS,
+            backend_options={"straggle_seconds": straggle},
+        ) as ps:
+            ps(C)  # spawn outside the timed call
+            n_tasks = len(ps.backend._engine.decomposition.tasks)
+            t0 = time.perf_counter()
+            ps(C)
+            wall = time.perf_counter() - t0
+        assert wall >= straggle * n_tasks / n_workers

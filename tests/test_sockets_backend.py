@@ -270,8 +270,9 @@ class TestLifecycle:
 
 
 class TestChaosKillMidSpan:
-    """The ISSUE's fault lane: SIGKILL a real worker while it is inside a
-    mixed-spin span; the engine must fail loud, named, and bounded."""
+    """The fault lane of both real-process pools: SIGKILL a worker while it
+    is inside a mixed-spin span; the engine must fail loud, named, and
+    bounded."""
 
     def test_scenario_composes_to_a_knob_dict(self):
         plan = build_backend_plan(
@@ -285,25 +286,24 @@ class TestChaosKillMidSpan:
         with pytest.raises(ValueError, match="socket_worker_kill"):
             build_backend_plan(["meteor_strike"], ChaosEnv(), seed=0)
 
-    def test_sigkill_mid_span_fails_loud_naming_the_rank(self, problem):
-        plan = build_backend_plan(
-            ["socket_worker_kill"], ChaosEnv(n_ranks=2), seed=11
-        )
+    @pytest.mark.parametrize("scenario", ["shm_worker_kill", "socket_worker_kill"])
+    def test_sigkill_mid_span_fails_loud_naming_the_rank(self, problem, scenario):
+        plan = build_backend_plan([scenario], ChaosEnv(n_ranks=2), seed=11)
         victim_rank = plan["kill_rank"] % 2
         deadline = 30.0
+        # straggle widens every claimed span so the kill lands mid-span;
+        # on sockets a tight heartbeat keeps detection well under the
+        # deadline (shm sees the dead pipe and process directly)
+        options = {"straggle_seconds": 0.3}
+        if plan["backend"] == "sockets":
+            options.update(heartbeat_interval=0.05, heartbeat_misses=20)
         ps = ParallelSigma(
             problem,
-            backend="sockets",
+            backend=plan["backend"],
             n_workers=2,
             block_columns=3,
             shm_timeout=60.0,
-            # straggle widens every claimed span so the kill lands mid-span;
-            # a tight heartbeat keeps detection well under the deadline
-            backend_options={
-                "straggle_seconds": 0.3,
-                "heartbeat_interval": 0.05,
-                "heartbeat_misses": 20,
-            },
+            backend_options=options,
         )
         with ps:
             ps(problem.random_vector(0))  # warm pool, workers proven healthy
@@ -319,13 +319,15 @@ class TestChaosKillMidSpan:
                     "dead-worker detection exceeded the deadline"
                 )
 
-    def test_backend_recovers_by_rebuilding_the_pool(self, problem):
+    @pytest.mark.parametrize("scenario", ["shm_worker_kill", "socket_worker_kill"])
+    def test_backend_recovers_by_rebuilding_the_pool(self, problem, scenario):
         """After a kill, the *backend* (not the dead engine) can serve again:
         run_sigma drops the closed engine and the next call respawns."""
+        backend = build_backend_plan([scenario], ChaosEnv(n_ranks=2), seed=11)["backend"]
         C = problem.random_vector(2)
         ref = sigma_dgemm(problem, C, block_columns=3)
         with ParallelSigma(
-            problem, backend="sockets", n_workers=2, block_columns=3
+            problem, backend=backend, n_workers=2, block_columns=3
         ) as ps:
             ps(C)
             victim = ps.backend._engine._procs[1]
