@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core import CIProblem, sigma_dgemm
-from repro.faults import ChaosConfig, FaultInjector, FaultPlan
+from repro.faults import FaultInjector, FaultPlan
 from repro.parallel import FCISpaceSpec, ParallelSigma, TraceFCI, homonuclear_diatomic_irreps
 from repro.scf.mo import MOIntegrals
 from repro.x1 import X1Config
@@ -73,9 +73,7 @@ def test_robustness_overhead_and_recovery():
 
     probe = ParallelSigma(problem, x1, resilient=True)
     probe(C)
-    fi = ChaosConfig(
-        ["dead_rank"], seed=1, victim=1, at=0.5, horizon=probe.report.elapsed
-    ).injector()
+    fi = FaultInjector(FaultPlan(seed=1, deaths={1: 0.5 * probe.report.elapsed}))
     recovered = ParallelSigma(problem, x1, faults=fi)(C)
     err = float(np.max(np.abs(recovered - ref)))
 

@@ -1,7 +1,7 @@
 """Kill a rank mid-sigma and watch the survivors heal the calculation.
 
 Runs the numeric-mode parallel DGEMM sigma (`repro.parallel.ParallelSigma`)
-on a 4-MSP simulated Cray-X1 under the `dead_rank` chaos scenario: the
+on a 4-MSP simulated Cray-X1 under a pinned dead-rank `FaultPlan`: the
 victim MSP fail-stops halfway through the build, its held mutexes are
 revoked after their lease, and the surviving ranks detect the uncommitted
 work through the commit-tag protocol and requeue it.  The result is then
@@ -22,7 +22,7 @@ import numpy as np
 
 from repro import Telemetry
 from repro.core import CIProblem, sigma_dgemm
-from repro.faults import ChaosConfig
+from repro.faults import FaultInjector, FaultPlan
 from repro.obs import ChromeTracer
 from repro.parallel import ParallelSigma
 from repro.scf.mo import MOIntegrals
@@ -57,8 +57,9 @@ def main() -> None:
 
     tracer = ChromeTracer()
     telemetry = Telemetry(tracer=tracer)
-    chaos = ChaosConfig(["dead_rank"], seed=1, victim=1, at=0.5, horizon=horizon)
-    injector = chaos.injector(registry=telemetry.registry)
+    # MSP 1 fail-stops halfway through the fault-free run
+    plan = FaultPlan(seed=1, deaths={1: 0.5 * horizon})
+    injector = FaultInjector(plan, registry=telemetry.registry)
 
     sigma_op = ParallelSigma(problem, config, telemetry=telemetry, faults=injector)
     out_sigma = sigma_op(C)

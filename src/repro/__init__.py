@@ -18,7 +18,7 @@ import logging
 
 from .molecule import Molecule, PointGroup
 from .core import Checkpointer, FCIResult, FCISolver, fci
-from .faults import ChaosConfig, FaultInjector, FaultPlan
+from .faults import FaultInjector, FaultPlan
 from .obs import ChromeTracer, MetricsRegistry, Telemetry, get_registry
 
 # Library code reports through the "repro" logger hierarchy rather than
@@ -34,7 +34,6 @@ __all__ = [
     "FCISolver",
     "fci",
     "Checkpointer",
-    "ChaosConfig",
     "FaultInjector",
     "FaultPlan",
     "Telemetry",

@@ -1,11 +1,12 @@
 """Composable, seeded chaos-scenario generators.
 
-:mod:`repro.faults.scenarios` names *single-knob* configurations (one dead
-rank, one global drop rate).  At fleet scale the interesting failures are
-*shaped*: several ranks failing together because they share a blade, a
-latency distribution with a heavy tail rather than a mean, stalls that
-land exactly on task-pool span boundaries where the dynamic load balancer
-is most exposed, I/O that browns out gradually instead of flipping off.
+A single-knob configuration (one dead rank at a set time, one global
+drop rate) is a plain :class:`~repro.faults.FaultPlan` literal.  At fleet
+scale the interesting failures are *shaped*: several ranks failing
+together because they share a blade, a latency distribution with a heavy
+tail rather than a mean, stalls that land exactly on task-pool span
+boundaries where the dynamic load balancer is most exposed, I/O that
+browns out gradually instead of flipping off.
 
 A chaos scenario here is a **generator**: ``(env, rng) -> FaultPlan field
 overrides``, drawing its shape from a seeded :class:`random.Random` so the
@@ -16,7 +17,7 @@ that round-trips through JSON (``FaultPlan.to_dict``/``from_dict``), which
 is what lets the fuzzer persist a failing schedule as a replayable
 reproducer.
 
-Three registries, same discipline as :data:`repro.faults.SCENARIOS`:
+Three registries, one per consumer:
 
 * :data:`CHAOS_SCENARIOS` - simulated-X1 fault schedules (consumed by
   ``ParallelSigma(faults=...)`` and solver checkpointing),
@@ -308,17 +309,7 @@ def build_backend_plan(names, env: ChaosEnv, seed: int) -> dict:
     harness interprets: ``kill_rank``/``kill_after_seconds`` drive the
     killer, ``straggle_seconds`` passes through to the engine.
     """
-    unknown = [n for n in names if n not in BACKEND_SCENARIOS]
-    if unknown:
-        raise ValueError(
-            f"unknown backend scenario(s) {unknown}; "
-            f"registered: {backend_scenario_names()}"
-        )
-    rng = random.Random(seed)
-    plan: dict = {}
-    for name in names:
-        plan.update(BACKEND_SCENARIOS[name](env, rng))
-    return plan
+    return _compose(names, env, seed, BACKEND_SCENARIOS, "backend")
 
 
 def build_service_plan(names, env: ChaosEnv, seed: int) -> ServiceFaultPlan:

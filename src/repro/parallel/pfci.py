@@ -48,8 +48,12 @@ the reference sigma: live ranks detect the dead rank via the engine's
 virtual-time heartbeat, requeue its unfinished work, and the idempotent
 accumulate guards make double delivery impossible.  NaN-poisoned gather
 payloads are detected and refetched at this layer; non-NaN bit-flips are
-the solvers' watchdog's problem.  With ``faults=None`` the original
-fault-free program runs unchanged (bit-identical schedule and result).
+the solvers' watchdog's problem.
+
+One rank program serves both modes; ``resilient`` selects the commit tags
+and the recovery rounds.  With it off the program reads no tags and runs
+no recovery rounds, so the schedule and result are bit-identical whether
+or not an idle injector is attached.
 """
 
 from __future__ import annotations
@@ -459,10 +463,7 @@ class ParallelSigma:
         for r, (lo, hi) in enumerate(self.row_ranges):
             Cd.set_local(r, C[lo:hi])
 
-        if self.resilient:
-            program = self._resilient_program(Cd, Sd, dlb, heap)
-        else:
-            program = self._program(Cd, Sd, dlb)
+        program = self._program(Cd, Sd, dlb, heap)
 
         engine = Engine(cfg, heap, tracer=self.tracer, faults=fi)
         try:
@@ -486,79 +487,40 @@ class ParallelSigma:
             load_imbalance=engine.load_imbalance(),
         )
 
-    # -- fault-free program (the default; schedule is bit-stable) ------------
-    def _program(self, Cd: DDIArray, Sd: DDIArray, dlb: DynamicLoadBalancer):
-        n_tasks = len(self.tasks)
+    # -- the rank program -------------------------------------------------------
+    def _program(self, Cd: DDIArray, Sd: DDIArray, dlb: DynamicLoadBalancer, heap):
+        """Build the rank program every simulated MSP runs.
 
-        def program(proc, _heap):
-            r = proc.rank
-            lo, hi = self.row_ranges[r]
-            m = hi - lo
-
-            # ---- local phase: one-electron beta + beta-beta (static) ----
-            if m:
-                sig_local, t, flops = self._beta_beta_block(Cd.local_block(r))
-                yield proc.compute(t, flops=flops, label="beta-beta", name="DGEMM beta-beta")
-                Sd.local_block(r)[...] = sig_local
-            else:
-                Sd.local_block(r)[...] = 0.0
-            yield proc.barrier()
-
-            # ---- alpha-alpha + alpha one-electron on transposed blocks ----
-            clo, chi = self.col_ranges[r]
-            if chi > clo:
-                colC = yield from Cd.iget_col_block(proc, clo, chi, label="alpha-alpha")
-                X, t, flops = self._alpha_block(colC, chi - clo)
-                yield proc.compute(t, flops=flops, label="alpha-alpha", name="DGEMM alpha-alpha")
-                yield from Sd.iacc_col_block(proc, clo, chi, X, label="alpha-alpha")
-            yield proc.barrier()
-
-            # ---- mixed-spin: dynamic task pool ----
-            while True:
-                tid = yield from dlb.inext(proc, label="alpha-beta")
-                if tid >= n_tasks:
-                    break
-                task = self.tasks[tid]
-                meta = self._task_meta[tid]
-                Csub = yield from Cd.iget_rows(proc, meta["rows"], label="alpha-beta")
-                out = self._mixed_subset(Csub, meta)
-                t, flops = self._mixed_task_time(meta)
-                yield proc.compute(t, flops=flops, label="alpha-beta", name="DGEMM alpha-beta")
-                yield from Sd.iacc_rows(
-                    proc,
-                    np.arange(task.start, task.stop),
-                    out,
-                    label="alpha-beta",
-                )
-            yield proc.barrier()
-
-        return program
-
-    # -- resilient program (tagged tasks + recovery rounds) -------------------
-    def _resilient_program(self, Cd: DDIArray, Sd: DDIArray, dlb: DynamicLoadBalancer, heap):
-        """Build the self-healing rank program.
-
-        Commit-tag layout on ``Sd`` (tag ``t`` lives on each owner's heap):
-        ``[0, P)`` beta-beta block publications, ``[P, 2P)`` alpha-alpha
-        column-block accumulations, ``[2P, 2P + n_tasks)`` mixed-spin tasks.
+        ``self.resilient`` decides three things only: the commit tag passed
+        to each DDI accumulate, whether a phase ends in recovery rounds or
+        a plain barrier, and whether a beta-beta block is written locally
+        or published with ``iput_block_once``.  Commit-tag layout on ``Sd``
+        (tag ``t`` lives on each owner's heap): ``[0, P)`` beta-beta block
+        publications, ``[P, 2P)`` alpha-alpha column-block accumulations,
+        ``[2P, 2P + n_tasks)`` mixed-spin tasks.
         """
         P = self.config.n_msps
         fi = self.faults
         n_tasks = len(self.tasks)
-        Sd.alloc_commit_tags(2 * P + n_tasks)
-        # claim counters for every possible recovery round, allocated up
-        # front so all ranks agree on them without communication
-        rq = {
-            (phase, rnd): DynamicLoadBalancer(heap, name=f"_rq_{phase}_{rnd}")
-            for phase in range(3)
-            for rnd in range(_MAX_RECOVERY_ROUNDS)
-        }
+        resilient = self.resilient
+        if resilient:
+            Sd.alloc_commit_tags(2 * P + n_tasks)
+            # claim counters for every possible recovery round, allocated up
+            # front so all ranks agree on them without communication
+            rq = {
+                (phase, rnd): DynamicLoadBalancer(heap, name=f"_rq_{phase}_{rnd}")
+                for phase in range(3)
+                for rnd in range(_MAX_RECOVERY_ROUNDS)
+            }
         row_owners = [r for r, (lo, hi) in enumerate(self.row_ranges) if hi > lo]
 
         def publish_beta_block(proc, owner, Cblk):
             sig_local, t, flops = self._beta_beta_block(Cblk)
             yield proc.compute(t, flops=flops, label="beta-beta", name="DGEMM beta-beta")
-            yield from Sd.iput_block_once(proc, owner, sig_local, tag=owner, label="beta-beta")
+            if resilient:
+                yield from Sd.iput_block_once(proc, owner, sig_local, tag=owner, label="beta-beta")
+            else:
+                Sd.local_block(owner)[...] = sig_local
 
         def redo_beta_block(proc, owner):
             lo, hi = self.row_ranges[owner]
@@ -570,7 +532,8 @@ class ParallelSigma:
             colC = yield from Cd.iget_col_block(proc, clo, chi, label=label)
             X, t, flops = self._alpha_block(colC, chi - clo)
             yield proc.compute(t, flops=flops, label="alpha-alpha", name="DGEMM alpha-alpha")
-            yield from Sd.iacc_col_block_once(proc, clo, chi, X, tag=P + c, label=label)
+            tag = P + c if resilient else None
+            yield from Sd.iacc_col_block(proc, clo, chi, X, tag=tag, label=label)
 
         def do_mixed_task(proc, tid, label="alpha-beta"):
             task = self.tasks[tid]
@@ -579,8 +542,9 @@ class ParallelSigma:
             out = self._mixed_subset(Csub, meta)
             t, flops = self._mixed_task_time(meta)
             yield proc.compute(t, flops=flops, label="alpha-beta", name="DGEMM alpha-beta")
-            yield from Sd.iacc_rows_once(
-                proc, np.arange(task.start, task.stop), out, tag=2 * P + tid, label=label
+            tag = 2 * P + tid if resilient else None
+            yield from Sd.iacc_rows(
+                proc, np.arange(task.start, task.stop), out, tag=tag, label=label
             )
 
         def uncommitted_beta(T):
@@ -600,14 +564,18 @@ class ParallelSigma:
                 if not all(T[o, 2 * P + t] for o in self._task_owners[t])
             ]
 
-        def recover(proc, phase, find_uncommitted, redo_one):
-            """Requeue-until-committed; every rank runs this in lockstep.
+        def end_phase(proc, phase, find_uncommitted, redo_one):
+            """A barrier; resilient: requeue-until-committed recovery rounds.
 
-            Control flow is driven *only* by the gathered commit tags (read
-            in a write-quiescent window between two barriers), so all live
-            ranks take identical decisions; the heartbeat probe is for the
-            trace and the fault counters, never for branching.
+            Every rank runs the rounds in lockstep.  Control flow is driven
+            *only* by the gathered commit tags (read in a write-quiescent
+            window between two barriers), so all live ranks take identical
+            decisions; the heartbeat probe is for the trace and the fault
+            counters, never for branching.
             """
+            if not resilient:
+                yield proc.barrier()
+                return
             label = f"{_PHASE_NAMES[phase]}:recover"
             for rnd in range(_MAX_RECOVERY_ROUNDS + 1):
                 yield proc.barrier()
@@ -635,24 +603,25 @@ class ParallelSigma:
             r = proc.rank
             lo, hi = self.row_ranges[r]
 
-            # ---- phase 1: beta-beta, published exactly-once ----
+            # ---- local phase: one-electron beta + beta-beta (static) ----
             if hi > lo:
                 yield from publish_beta_block(proc, r, Cd.local_block(r))
-            yield from recover(proc, 0, uncommitted_beta, redo_beta_block)
+            yield from end_phase(proc, 0, uncommitted_beta, redo_beta_block)
 
-            # ---- phase 2: alpha-alpha column blocks ----
+            # ---- alpha-alpha + alpha one-electron on transposed blocks ----
             clo, chi = self.col_ranges[r]
             if chi > clo:
                 yield from do_alpha_block(proc, r)
-            yield from recover(proc, 1, uncommitted_alpha, do_alpha_block)
+            yield from end_phase(proc, 1, uncommitted_alpha, do_alpha_block)
 
-            # ---- phase 3: mixed-spin dynamic task pool ----
+            # ---- mixed-spin: dynamic task pool ----
             while True:
                 tid = yield from dlb.inext(proc, label="alpha-beta")
                 if tid >= n_tasks:
                     break
                 yield from do_mixed_task(proc, tid)
-            yield from recover(proc, 2, uncommitted_mixed, do_mixed_task)
-            yield proc.barrier()
+            yield from end_phase(proc, 2, uncommitted_mixed, do_mixed_task)
+            if resilient:
+                yield proc.barrier()  # closing barrier of the resilient schedule
 
         return program

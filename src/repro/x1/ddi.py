@@ -22,9 +22,10 @@ then retries with exponential backoff (charged to the virtual clock as
 ``*:retry`` compute, counted under ``faults.recovered.retried_*``) up to the
 plan's retry budget before raising :class:`DDICommError`.  Retries inside
 the DDI_ACC protocol are safe because the node mutex is held throughout.
-The ``*_once`` variants add a per-tag commit flag written *atomically* with
-the data (one multi-segment put), making accumulation idempotent: a task
-requeued after its owner died mid-protocol lands exactly once.
+Given a commit ``tag``, the accumulate verbs write a per-tag commit flag
+*atomically* with the data (one multi-segment put), making accumulation
+idempotent: a task requeued after its owner died mid-protocol lands
+exactly once.
 """
 
 from __future__ import annotations
@@ -222,63 +223,81 @@ class DDIArray:
         yield proc.span_end()
         return out
 
-    def iacc_col_block(self, proc: Proc, col_lo: int, col_hi: int, data, label: str = "accumulate"):
-        """DDI_ACC of a full column block into every owner's local rows."""
+    def _acc_owner(
+        self, proc: Proc, owner: int, key, nbytes: float, patch, tag: int | None, label: str
+    ):
+        """One owner's DDI_ACC: lock, get, add ``patch``, write, quiet, unlock.
+
+        With a commit ``tag`` the owner's flag is read first (a committed
+        owner is unlocked and skipped) and the write is one atomic
+        data+flag ``putm``, so a requeued task lands exactly once.
+        """
+        mutex = self.node_mutex(owner)
+        yield proc.lock(mutex, label=label)
+        if tag is not None and (yield from self.iread_tag(proc, owner, tag, label=label)):
+            if self.faults is not None:
+                self.faults.note_recovered("acc_dedup")
+            yield proc.unlock(mutex, label=label)
+            return
+        remote = yield from self._reliable(
+            proc,
+            lambda: proc.get(owner, self.name, key=key, n_bytes=nbytes, label=label),
+            "get",
+            label,
+        )
+        updated = remote + patch if patch is not None else None
+
+        def write():
+            if tag is None:
+                return proc.put(
+                    owner, self.name, key=key, value=updated, n_bytes=nbytes, label=label
+                )
+            writes = [(self.name, key, updated), (self.tags_name, slice(tag, tag + 1), 1.0)]
+            return proc.putm(owner, writes, n_bytes=nbytes + 8.0, label=label)
+
+        yield from self._reliable(proc, write, "put", label)
+        yield proc.quiet(label=label)
+        yield proc.unlock(mutex, label=label)
+
+    def iacc_col_block(
+        self,
+        proc: Proc,
+        col_lo: int,
+        col_hi: int,
+        data,
+        tag: int | None = None,
+        label: str = "accumulate",
+    ):
+        """DDI_ACC of a full column block into every owner's local rows
+        (exactly-once per owner when ``tag`` is given)."""
         width = col_hi - col_lo
+        numeric = self.numeric and data is not None
+        key = (slice(None), slice(col_lo, col_hi)) if self.numeric else None
         yield proc.span_begin("DDI_ACC", label=label)
         for owner, (lo, hi) in enumerate(self.ranges):
             if hi <= lo:
                 continue
-            nbytes = (hi - lo) * width * 8.0
-            mutex = self.node_mutex(owner)
-            key = (slice(None), slice(col_lo, col_hi)) if self.numeric else None
-            yield proc.lock(mutex, label=label)
-            remote = yield from self._reliable(
-                proc,
-                lambda: proc.get(owner, self.name, key=key, n_bytes=nbytes, label=label),
-                "get",
-                label,
+            yield from self._acc_owner(
+                proc, owner, key, (hi - lo) * width * 8.0,
+                data[lo:hi] if numeric else None, tag, label,
             )
-            updated = remote + data[lo:hi] if self.numeric and data is not None else None
-            yield from self._reliable(
-                proc,
-                lambda: proc.put(owner, self.name, key=key, value=updated, n_bytes=nbytes, label=label),
-                "put",
-                label,
-            )
-            yield proc.quiet(label=label)
-            yield proc.unlock(mutex, label=label)
         yield proc.span_end()
 
-    def iacc_rows(self, proc: Proc, rows, data, label: str = "accumulate"):
-        """DDI_ACC: the paper's lock/get/add/put/quiet/unlock protocol."""
+    def iacc_rows(
+        self, proc: Proc, rows, data, tag: int | None = None, label: str = "accumulate"
+    ):
+        """DDI_ACC: the paper's lock/get/add/put/quiet/unlock protocol
+        (exactly-once per owner when ``tag`` is given)."""
         rows = np.asarray(rows, dtype=np.int64)
+        numeric = self.numeric and data is not None
         yield proc.span_begin("DDI_ACC", label=label)
         for owner, grp_rows, positions in self._group_by_owner(rows):
-            lo = self.ranges[owner][0]
-            local = grp_rows - lo
-            nbytes = local.size * self.n_cols * 8.0
-            mutex = self.node_mutex(owner)
+            local = grp_rows - self.ranges[owner][0]
             key = (local, slice(None)) if self.numeric else None
-            yield proc.lock(mutex, label=label)
-            remote = yield from self._reliable(
-                proc,
-                lambda: proc.get(owner, self.name, key=key, n_bytes=nbytes, label=label),
-                "get",
-                label,
+            yield from self._acc_owner(
+                proc, owner, key, local.size * self.n_cols * 8.0,
+                data[positions] if numeric else None, tag, label,
             )
-            if self.numeric and data is not None:
-                updated = remote + data[positions]
-            else:
-                updated = None
-            yield from self._reliable(
-                proc,
-                lambda: proc.put(owner, self.name, key=key, value=updated, n_bytes=nbytes, label=label),
-                "put",
-                label,
-            )
-            yield proc.quiet(label=label)
-            yield proc.unlock(mutex, label=label)
         yield proc.span_end()
 
     # -- idempotent (exactly-once) accumulation -----------------------------
@@ -296,7 +315,7 @@ class DDIArray:
 
     def _require_tags(self) -> str:
         if self.tags_name is None:
-            raise RuntimeError("call alloc_commit_tags() before *_once operations")
+            raise RuntimeError("call alloc_commit_tags() before tagged operations")
         return self.tags_name
 
     def _reliable_tags(self, proc: Proc, op_factory, label: str):
@@ -350,84 +369,6 @@ class DDIArray:
             out[i] = raw != 0.0
         yield proc.span_end()
         return out
-
-    def iacc_rows_once(self, proc: Proc, rows, data, tag: int, label: str = "accumulate"):
-        """Exactly-once DDI_ACC: skip owners whose commit flag for ``tag``
-        is already set; otherwise add and publish data+flag atomically."""
-        tags = self._require_tags()
-        rows = np.asarray(rows, dtype=np.int64)
-        yield proc.span_begin("DDI_ACC", label=label)
-        for owner, grp_rows, positions in self._group_by_owner(rows):
-            lo = self.ranges[owner][0]
-            local = grp_rows - lo
-            nbytes = local.size * self.n_cols * 8.0
-            mutex = self.node_mutex(owner)
-            key = (local, slice(None)) if self.numeric else None
-            yield proc.lock(mutex, label=label)
-            committed = yield from self.iread_tag(proc, owner, tag, label=label)
-            if committed:
-                if self.faults is not None:
-                    self.faults.note_recovered("acc_dedup")
-                yield proc.unlock(mutex, label=label)
-                continue
-            remote = yield from self._reliable(
-                proc,
-                lambda: proc.get(owner, self.name, key=key, n_bytes=nbytes, label=label),
-                "get",
-                label,
-            )
-            if self.numeric and data is not None:
-                updated = remote + data[positions]
-            else:
-                updated = None
-            writes = [(self.name, key, updated), (tags, slice(tag, tag + 1), 1.0)]
-            yield from self._reliable(
-                proc,
-                lambda: proc.putm(owner, writes, n_bytes=nbytes + 8.0, label=label),
-                "put",
-                label,
-            )
-            yield proc.quiet(label=label)
-            yield proc.unlock(mutex, label=label)
-        yield proc.span_end()
-
-    def iacc_col_block_once(
-        self, proc: Proc, col_lo: int, col_hi: int, data, tag: int, label: str = "accumulate"
-    ):
-        """Exactly-once DDI_ACC of a full column block (tag per owner)."""
-        tags = self._require_tags()
-        width = col_hi - col_lo
-        yield proc.span_begin("DDI_ACC", label=label)
-        for owner, (lo, hi) in enumerate(self.ranges):
-            if hi <= lo:
-                continue
-            nbytes = (hi - lo) * width * 8.0
-            mutex = self.node_mutex(owner)
-            key = (slice(None), slice(col_lo, col_hi)) if self.numeric else None
-            yield proc.lock(mutex, label=label)
-            committed = yield from self.iread_tag(proc, owner, tag, label=label)
-            if committed:
-                if self.faults is not None:
-                    self.faults.note_recovered("acc_dedup")
-                yield proc.unlock(mutex, label=label)
-                continue
-            remote = yield from self._reliable(
-                proc,
-                lambda: proc.get(owner, self.name, key=key, n_bytes=nbytes, label=label),
-                "get",
-                label,
-            )
-            updated = remote + data[lo:hi] if self.numeric and data is not None else None
-            writes = [(self.name, key, updated), (tags, slice(tag, tag + 1), 1.0)]
-            yield from self._reliable(
-                proc,
-                lambda: proc.putm(owner, writes, n_bytes=nbytes + 8.0, label=label),
-                "put",
-                label,
-            )
-            yield proc.quiet(label=label)
-            yield proc.unlock(mutex, label=label)
-        yield proc.span_end()
 
     def iput_block_once(self, proc: Proc, owner: int, value, tag: int, label: str = "publish"):
         """Exactly-once *overwrite* of ``owner``'s whole local block.

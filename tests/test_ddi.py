@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.faults import FaultInjector, FaultPlan
 from repro.x1 import DDIArray, DynamicLoadBalancer, Engine, SymmetricHeap, X1Config
 from repro.x1.ddi import block_ranges
 
@@ -106,6 +107,64 @@ class TestDDIArray:
         eng = Engine(self.cfg, heap)
         eng.run([prog] * 4)
         assert eng.stats[0].bytes_received == 50 * 5 * 8
+
+
+class TestExactlyOnceAccumulate:
+    """A tagged accumulate lands once per owner, however often it is issued."""
+
+    def setup_method(self):
+        self.cfg = X1Config(n_msps=4)
+        self.heap = SymmetricHeap(4)
+        self.fi = FaultInjector(FaultPlan())  # hooks attached, nothing injected
+        self.A = DDIArray(self.heap, "A", 10, 3, msps_per_node=4, faults=self.fi)
+        self.A.alloc_commit_tags(2)
+        self.full = np.arange(30, dtype=float).reshape(10, 3)
+        for r, (lo, hi) in enumerate(self.A.ranges):
+            self.A.set_local(r, self.full[lo:hi])
+
+    def run_on_rank0(self, acc):
+        def prog(proc, h):
+            if proc.rank == 0:
+                for _ in range(2):
+                    yield from acc(proc)
+            else:
+                yield proc.compute(0.0)
+
+        Engine(self.cfg, self.heap, faults=self.fi).run([prog] * 4)
+        return np.vstack([self.heap.segment("A", r) for r in range(4)])
+
+    def dedup(self):
+        return self.fi.counts().get("faults.recovered.acc_dedup", 0)
+
+    def test_rows_added_once(self):
+        data = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        got = self.run_on_rank0(
+            lambda proc: self.A.iacc_rows(proc, np.array([0, 9]), data, tag=0)
+        )
+        want = self.full.copy()
+        want[[0, 9]] += data
+        assert np.array_equal(got, want)
+        # rows 0 and 9 live on owners 0 and 3: the second call skips both
+        assert self.dedup() == 2
+
+    def test_col_block_added_once(self):
+        got = self.run_on_rank0(
+            lambda proc: self.A.iacc_col_block(proc, 0, 1, np.ones((10, 1)), tag=1)
+        )
+        want = self.full.copy()
+        want[:, 0] += 1.0
+        assert np.array_equal(got, want)
+        # the column block spans all four owners, each skipped once
+        assert self.dedup() == 4
+
+    def test_tag_requires_allocation(self):
+        B = DDIArray(self.heap, "B", 10, 3)
+
+        def prog(proc, h):
+            yield from B.iacc_rows(proc, np.array([0]), np.ones((1, 3)), tag=0)
+
+        with pytest.raises(RuntimeError, match="alloc_commit_tags"):
+            Engine(self.cfg, self.heap).run([prog] * 4)
 
 
 class TestDLB:

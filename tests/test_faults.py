@@ -7,7 +7,7 @@ The contract under test is the robustness story end to end:
   revocations, and dropped one-sided ops into the :data:`DROPPED` sentinel,
 * the DDI layer retries drops/corruption within its budget (and raises
   :class:`DDICommError` past it),
-* :class:`ParallelSigma` under every named chaos scenario still reproduces
+* :class:`ParallelSigma` under every pinned fault plan still reproduces
   the serial sigma to machine precision,
 * with faults disabled the instrumented code paths are bitwise identical
   to the original schedule.
@@ -17,13 +17,23 @@ import numpy as np
 import pytest
 
 from repro.core import CIProblem, sigma_dgemm
-from repro.faults import ChaosConfig, FaultInjector, FaultPlan, SCENARIOS, StallWindow
+from repro.faults import FaultInjector, FaultPlan, StallWindow
 from repro.parallel import ParallelSigma
 from repro.parallel.trace import FCISpaceSpec, TraceFCI, homonuclear_diatomic_irreps
 from repro.faults import DEFAULT_MUTEX_LEASE
 from repro.x1 import DDIArray, DDICommError, DROPPED, Engine, SymmetricHeap, X1Config
 
 from tests.conftest import make_random_mo
+
+# a lossy, jittery interconnect: drops, delays, and mutex-grant jitter
+FLAKY_NETWORK = dict(
+    drop_get=0.08,
+    drop_put=0.08,
+    delay_prob=0.10,
+    delay_seconds=20e-6,
+    mutex_jitter=5e-6,
+    op_timeout=2e-3,
+)
 
 
 @pytest.fixture(scope="module")
@@ -67,15 +77,6 @@ class TestFaultPlan:
     def test_stall_slowdown_validation(self):
         with pytest.raises(ValueError, match="slowdown"):
             FaultInjector(FaultPlan(stalls=[StallWindow(0, slowdown=0.5)]))
-
-    def test_scenarios_build(self):
-        for name in SCENARIOS:
-            fi = ChaosConfig([name], seed=7).injector()
-            assert fi.plan.any_faults(), name
-
-    def test_unknown_scenario(self):
-        with pytest.raises(ValueError, match="meteor_strike"):
-            ChaosConfig(["meteor_strike"])
 
 
 class TestInjectorDeterminism:
@@ -258,7 +259,7 @@ class TestChaosParallelSigma:
     @pytest.mark.parametrize("at", [0.25, 0.6])
     def test_dead_rank_recovers(self, ci, horizon, victim, at):
         problem, C, ref = ci
-        fi = ChaosConfig(["dead_rank"], seed=1, victim=victim, at=at, horizon=horizon).injector()
+        fi = FaultInjector(FaultPlan(seed=1, deaths={victim: at * horizon}))
         out = ParallelSigma(problem, X1Config(n_msps=4), faults=fi)(C)
         assert np.max(np.abs(out - ref)) < 1e-10
         c = fi.counts()
@@ -271,7 +272,7 @@ class TestChaosParallelSigma:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_flaky_network_recovers(self, ci, seed):
         problem, C, ref = ci
-        fi = ChaosConfig(["flaky_network"], seed=seed).injector()
+        fi = FaultInjector(FaultPlan(seed=seed, **FLAKY_NETWORK))
         out = ParallelSigma(problem, X1Config(n_msps=4), faults=fi)(C)
         assert np.max(np.abs(out - ref)) < 1e-10
         assert fi.counts().get("faults.recovered.retried_get", 0) > 0
@@ -279,7 +280,7 @@ class TestChaosParallelSigma:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_corrupt_payload_recovers(self, ci, seed):
         problem, C, ref = ci
-        fi = ChaosConfig(["corrupt_payload"], seed=seed, corrupt_prob=0.2).injector()
+        fi = FaultInjector(FaultPlan(seed=seed, corrupt=0.2, corrupt_mode="nan"))
         out = ParallelSigma(problem, X1Config(n_msps=4), faults=fi)(C)
         assert np.max(np.abs(out - ref)) < 1e-10
 
@@ -291,13 +292,13 @@ class TestChaosParallelSigma:
         problem, C, _ = ci
         outs = []
         for _ in range(2):
-            fi = ChaosConfig(["bitflip_payload"], seed=2, corrupt_prob=0.2).injector()
+            fi = FaultInjector(FaultPlan(seed=2, corrupt=0.2, corrupt_mode="bitflip"))
             outs.append(ParallelSigma(problem, X1Config(n_msps=4), faults=fi)(C))
         assert np.array_equal(outs[0], outs[1])
 
     def test_slow_rank_exact(self, ci):
         problem, C, ref = ci
-        fi = ChaosConfig(["slow_rank"], seed=0, victim=2, slowdown=8.0).injector()
+        fi = FaultInjector(FaultPlan(seed=0, stalls=[StallWindow(2, slowdown=8.0)]))
         ps = ParallelSigma(problem, X1Config(n_msps=4), faults=fi)
         out = ps(C)
         assert np.max(np.abs(out - ref)) < 1e-10
@@ -306,13 +307,9 @@ class TestChaosParallelSigma:
     def test_combined_death_and_flaky(self, ci, horizon):
         problem, C, ref = ci
         for seed in range(2):
-            fi = ChaosConfig(
-                ["dead_rank", "flaky_network"],
-                seed=seed,
-                victim=seed % 4,
-                at=0.4,
-                horizon=horizon,
-            ).injector()
+            fi = FaultInjector(
+                FaultPlan(seed=seed, deaths={seed % 4: 0.4 * horizon}, **FLAKY_NETWORK)
+            )
             out = ParallelSigma(problem, X1Config(n_msps=4), faults=fi)(C)
             assert np.max(np.abs(out - ref)) < 1e-10
 
@@ -368,7 +365,7 @@ class TestTraceModeFaults:
     def test_flaky_io_retried(self, spec):
         cfg = X1Config(n_msps=8)
         base = TraceFCI(spec, cfg).run_iteration()
-        fi = ChaosConfig(["flaky_io"], seed=3).injector()
+        fi = FaultInjector(FaultPlan(seed=3, io_error=0.2))
         r = TraceFCI(spec, cfg, faults=fi).run_iteration()
         assert r.elapsed >= base.elapsed
         c = fi.counts()
